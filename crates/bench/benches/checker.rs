@@ -1,9 +1,12 @@
 //! Criterion: durability-checker throughput over recorded traces.
 
+use bench::redisx::to_redis_ops;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use pmapps::redis::{attach_workload, build, RedisBuild};
 use pmcheck::check_trace;
 use pmvm::{Vm, VmOptions};
 use std::hint::black_box;
+use ycsb::{Generator, Workload};
 
 fn bench_checker(c: &mut Criterion) {
     let mc = pmapps::memcached::build_correct().unwrap();
@@ -15,6 +18,18 @@ fn bench_checker(c: &mut Criterion) {
     let buggy = pmapps::memcached::build_buggy("mm-2").unwrap();
     let buggy_trace = Vm::new(VmOptions::default())
         .run(&buggy, pmapps::memcached::ENTRY)
+        .unwrap()
+        .trace
+        .unwrap();
+    // Flush-free Redis under a YCSB Load + A stream: thousands of fences,
+    // no flushes, and every store still live at each fence.
+    let stream = Generator::new(800, 800, 64, 1);
+    let mut ops = to_redis_ops(&stream.load_ops(), 64);
+    ops.extend(to_redis_ops(&stream.run_ops(Workload::A), 64));
+    let mut redis = build(RedisBuild::FlushFree).unwrap();
+    let entry = attach_workload(&mut redis, "bench", &ops);
+    let redis_trace = Vm::new(VmOptions::default())
+        .run(&redis, &entry)
         .unwrap()
         .trace
         .unwrap();
@@ -31,6 +46,10 @@ fn bench_checker(c: &mut Criterion) {
             let json = black_box(&trace).to_json().unwrap();
             pmtrace::Trace::from_json(&json).unwrap()
         })
+    });
+    g.throughput(Throughput::Elements(redis_trace.len() as u64));
+    g.bench_function("flush_free_redis", |b| {
+        b.iter(|| check_trace(black_box(&redis_trace)))
     });
     g.finish();
 }

@@ -92,6 +92,10 @@ pub fn campaign_seed(
         };
         std::thread::spawn(move || crate::serve(config))
     };
+    // The primary binds only after taking the journal's lock. Wait for it
+    // before starting the standby, which could otherwise win the lock and
+    // refuse the primary.
+    let mut c = Client::connect_retry(&socket, Duration::from_secs(5))?;
     // The double-primary contest needs a rival that can actually win:
     // run a fault-free hot standby on its own socket, sharing the
     // journal. (For the other archetypes the single daemon heals alone.)
@@ -111,11 +115,9 @@ pub fn campaign_seed(
         std::thread::spawn(move || crate::serve(config))
     });
 
-    let id = {
-        let mut c = Client::connect_retry(&socket, Duration::from_secs(5))?;
-        c.set_io_timeout(Some(Duration::from_secs(10)))?;
-        c.submit_retry(spec.clone(), Duration::from_secs(5))?
-    };
+    c.set_io_timeout(Some(Duration::from_secs(10)))?;
+    let id = c.submit_retry(spec.clone(), Duration::from_secs(5))?;
+    drop(c);
 
     // Poll to terminal across every socket that might hold the
     // primaryship by now, reconnecting each pass: the epoch contest

@@ -274,11 +274,9 @@ impl JobJournal {
         self.file
             .sync_data()
             .map_err(|e| format!("{}: sync: {e}", self.path.display()))?;
-        self.expected_len = self
-            .file
-            .metadata()
-            .map_err(|e| format!("{}: {e}", self.path.display()))?
-            .len();
+        // Advance by this handle's own bytes only: re-reading the length
+        // would absorb a rival's record appended since the fence check.
+        self.expected_len += line.len() as u64;
         Ok(())
     }
 
@@ -736,6 +734,19 @@ mod tests {
         assert!(!events.iter().any(|e| e == &finished("job-1")));
         // Fencing is sticky: the deposed handle stays fenced.
         assert!(is_fenced(&j.append(&submitted("job-2")).unwrap_err()));
+    }
+
+    #[test]
+    fn rival_epoch_during_an_append_still_fences_the_next_one() {
+        let path = tmp("fence-window");
+        let (mut j, _) = JobJournal::open(&path).unwrap();
+        j.elect().unwrap();
+        j.check_fence().unwrap();
+        // The rival lands after this append's fence check, before its write.
+        append_rival_epoch(&path, 7).unwrap();
+        j.append_line(&submitted("job-1")).unwrap();
+        let err = j.append(&finished("job-1")).unwrap_err();
+        assert!(is_fenced(&err), "{err}");
     }
 
     #[test]

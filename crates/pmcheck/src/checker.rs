@@ -1,8 +1,15 @@
 //! The store-state machine over traces.
+//!
+//! Every non-durable store is kept in an arrival-ordered table and indexed
+//! twice: by each cache line it still needs flushed or fenced, and — while
+//! it has weakly flushed lines awaiting a fence — in a pending set. A
+//! flush therefore touches only the stores on its line and a fence only
+//! the stores with pending lines, while a checkpoint audit still reports
+//! the live stores in arrival order.
 
 use crate::bug::{Bug, BugKind, CheckReport, Checkpoint, RedundantFlush};
 use pmtrace::{Event, EventKind, Trace};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const CACHE_LINE: u64 = 64;
 
@@ -16,21 +23,21 @@ fn lines_of(addr: u64, len: u64) -> BTreeSet<u64> {
     lines
 }
 
-/// One tracked (not yet durable) store.
+/// One tracked (not yet durable) store. Its `unflushed` and `pending`
+/// lines are disjoint, and together they are exactly the lines under which
+/// the line index lists it.
 #[derive(Debug)]
-struct StoreRecord {
-    event: Event,
+struct StoreRecord<'a> {
+    event: &'a Event,
     addr: u64,
     len: u64,
     /// Lines not yet covered by any flush.
     unflushed: BTreeSet<u64>,
     /// Lines flushed weakly, awaiting a fence.
     pending: BTreeSet<u64>,
-    /// Whether any flush ever touched this store.
-    saw_flush: bool,
 }
 
-impl StoreRecord {
+impl StoreRecord<'_> {
     fn is_durable(&self) -> bool {
         self.unflushed.is_empty() && self.pending.is_empty()
     }
@@ -55,35 +62,51 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
 /// *non-durable* stores rather than the trace length — how the real
 /// pmemcheck instrumentations operate.
 ///
+/// The checker borrows each event it is fed and clones an event's fields
+/// only when a checkpoint reports its store as a [`Bug`]. Per event, a
+/// store costs O(its lines), a flush O(live stores on that line), a fence
+/// O(stores with pending lines) and a checkpoint O(live stores).
+///
 /// # Example
 ///
 /// ```
 /// use pmcheck::OnlineChecker;
 /// use pmtrace::{Event, EventKind};
 ///
-/// let mut checker = OnlineChecker::new();
-/// checker.feed(&Event {
+/// let store = Event {
 ///     seq: 0,
 ///     kind: EventKind::Store { addr: 0x3000_0000_0000, len: 8 },
 ///     at: None,
 ///     loc: None,
 ///     stack: vec![],
-/// });
-/// checker.feed(&Event {
+/// };
+/// let end = Event {
 ///     seq: 1, kind: EventKind::ProgramEnd, at: None, loc: None, stack: vec![],
-/// });
+/// };
+/// let mut checker = OnlineChecker::new();
+/// checker.feed(&store);
+/// checker.feed(&end);
 /// let report = checker.finish();
 /// assert_eq!(report.bugs.len(), 1);
 /// ```
 #[derive(Debug, Default)]
-pub struct OnlineChecker {
+pub struct OnlineChecker<'a> {
     report: CheckReport,
-    live: Vec<StoreRecord>,
+    /// Live stores by arrival number; iteration order is arrival order.
+    live: BTreeMap<u64, StoreRecord<'a>>,
+    /// Cache line → live stores with that line unflushed or pending.
+    by_line: HashMap<u64, BTreeSet<u64>>,
+    /// Live stores with a non-empty `pending` set.
+    pending: BTreeSet<u64>,
+    next_id: u64,
     last_fence_seq: Option<u64>,
     crash_points: u64,
+    /// Store records touched by flushes and fences.
+    #[cfg(test)]
+    visits: u64,
 }
 
-impl OnlineChecker {
+impl<'a> OnlineChecker<'a> {
     /// A fresh checker.
     pub fn new() -> Self {
         OnlineChecker::default()
@@ -96,77 +119,103 @@ impl OnlineChecker {
     }
 
     /// Processes one event.
-    pub fn feed(&mut self, e: &Event) {
+    pub fn feed(&mut self, e: &'a Event) {
         match &e.kind {
             EventKind::Store { addr, len } => {
                 self.report.stores_checked += 1;
-                let all = lines_of(*addr, *len);
-                self.live.push(StoreRecord {
-                    event: e.clone(),
-                    addr: *addr,
-                    len: *len,
-                    unflushed: all,
-                    pending: BTreeSet::new(),
-                    saw_flush: false,
-                });
+                let id = self.next_id;
+                self.next_id += 1;
+                let unflushed = lines_of(*addr, *len);
+                for &line in &unflushed {
+                    self.by_line.entry(line).or_default().insert(id);
+                }
+                self.live.insert(
+                    id,
+                    StoreRecord {
+                        event: e,
+                        addr: *addr,
+                        len: *len,
+                        unflushed,
+                        pending: BTreeSet::new(),
+                    },
+                );
             }
             EventKind::Flush { kind, addr } => {
                 self.report.flushes_seen += 1;
                 let line = addr & !(CACHE_LINE - 1);
-                let mut hit = false;
-                for rec in self.live.iter_mut() {
-                    if rec.unflushed.remove(&line) {
-                        hit = true;
-                        rec.saw_flush = true;
-                        if kind.is_weakly_ordered() {
-                            rec.pending.insert(line);
-                        }
-                        // A strong flush (CLFLUSH) makes the line durable
-                        // immediately: nothing is added to `pending`.
-                    } else if rec.pending.contains(&line) {
-                        // Re-flushing a pending line is allowed; a strong
-                        // flush upgrades it to durable.
-                        hit = true;
-                        if !kind.is_weakly_ordered() {
-                            rec.pending.remove(&line);
-                        }
-                    }
-                }
-                if !hit {
+                let Some(ids) = self.by_line.get_mut(&line) else {
                     self.report.redundant_flushes.push(RedundantFlush {
                         addr: *addr,
                         at: e.at.clone(),
                         loc: e.loc.clone(),
                         seq: e.seq,
                     });
+                    return;
+                };
+                // Every store listed under the line has it unflushed or
+                // pending, so the flush is never redundant here.
+                ids.retain(|id| {
+                    #[cfg(test)]
+                    {
+                        self.visits += 1;
+                    }
+                    let rec = self.live.get_mut(id).expect("indexed store is live");
+                    if rec.unflushed.remove(&line) {
+                        if kind.is_weakly_ordered() {
+                            rec.pending.insert(line);
+                            self.pending.insert(*id);
+                            return true;
+                        }
+                        // A strong flush (CLFLUSH) makes the line durable
+                        // immediately: nothing is added to `pending`.
+                    } else if kind.is_weakly_ordered() {
+                        // Re-flushing a pending line weakly changes nothing.
+                        return true;
+                    } else {
+                        // A strong re-flush upgrades a pending line to durable.
+                        rec.pending.remove(&line);
+                        if rec.pending.is_empty() {
+                            self.pending.remove(id);
+                        }
+                    }
+                    if rec.is_durable() {
+                        self.live.remove(id);
+                    }
+                    false
+                });
+                if ids.is_empty() {
+                    self.by_line.remove(&line);
                 }
-                self.live.retain(|r| !r.is_durable());
             }
             EventKind::Fence { .. } => {
                 self.report.fences_seen += 1;
                 self.last_fence_seq = Some(e.seq);
-                for rec in self.live.iter_mut() {
-                    rec.pending.clear();
+                for id in std::mem::take(&mut self.pending) {
+                    #[cfg(test)]
+                    {
+                        self.visits += 1;
+                    }
+                    let rec = self.live.get_mut(&id).expect("pending store is live");
+                    for line in std::mem::take(&mut rec.pending) {
+                        let ids = self
+                            .by_line
+                            .get_mut(&line)
+                            .expect("pending line is indexed");
+                        ids.remove(&id);
+                        if ids.is_empty() {
+                            self.by_line.remove(&line);
+                        }
+                    }
+                    if rec.is_durable() {
+                        self.live.remove(&id);
+                    }
                 }
-                self.live.retain(|r| !r.is_durable());
             }
             EventKind::CrashPoint => {
                 self.crash_points += 1;
-                audit(
-                    &self.live,
-                    Checkpoint::CrashPoint(self.crash_points),
-                    self.last_fence_seq,
-                    &mut self.report,
-                );
+                self.audit(Checkpoint::CrashPoint(self.crash_points));
             }
-            EventKind::ProgramEnd => {
-                audit(
-                    &self.live,
-                    Checkpoint::ProgramEnd,
-                    self.last_fence_seq,
-                    &mut self.report,
-                );
-            }
+            EventKind::ProgramEnd => self.audit(Checkpoint::ProgramEnd),
             EventKind::RegisterPool { .. } => {}
         }
     }
@@ -175,39 +224,35 @@ impl OnlineChecker {
     pub fn finish(self) -> CheckReport {
         self.report
     }
-}
 
-fn audit(
-    live: &[StoreRecord],
-    checkpoint: Checkpoint,
-    last_fence_seq: Option<u64>,
-    report: &mut CheckReport,
-) {
-    for rec in live {
-        debug_assert!(!rec.is_durable());
-        let fence_after_store = last_fence_seq.is_some_and(|f| f > rec.event.seq);
-        let kind = if rec.unflushed.is_empty() {
-            // Fully flushed, but some lines still awaiting a fence.
-            BugKind::MissingFence
-        } else if fence_after_store {
-            // A fence exists downstream of the store; only flushes are
-            // missing (inserting flushes before that fence would have
-            // sufficed). This mirrors pmemcheck's "not flushed" report.
-            BugKind::MissingFlush
-        } else {
-            BugKind::MissingFlushFence
-        };
-        report.bugs.push(Bug {
-            kind,
-            addr: rec.addr,
-            len: rec.len,
-            store_at: rec.event.at.clone(),
-            store_loc: rec.event.loc.clone(),
-            stack: rec.event.stack.clone(),
-            store_seq: rec.event.seq,
-            checkpoint,
-            unflushed_lines: rec.unflushed.iter().copied().collect(),
-        });
+    /// Reports every live store, in arrival order.
+    fn audit(&mut self, checkpoint: Checkpoint) {
+        for rec in self.live.values() {
+            debug_assert!(!rec.is_durable());
+            let fence_after_store = self.last_fence_seq.is_some_and(|f| f > rec.event.seq);
+            let kind = if rec.unflushed.is_empty() {
+                // Fully flushed, but some lines still awaiting a fence.
+                BugKind::MissingFence
+            } else if fence_after_store {
+                // A fence exists downstream of the store; only flushes are
+                // missing (inserting flushes before that fence would have
+                // sufficed). This mirrors pmemcheck's "not flushed" report.
+                BugKind::MissingFlush
+            } else {
+                BugKind::MissingFlushFence
+            };
+            self.report.bugs.push(Bug {
+                kind,
+                addr: rec.addr,
+                len: rec.len,
+                store_at: rec.event.at.clone(),
+                store_loc: rec.event.loc.clone(),
+                stack: rec.event.stack.clone(),
+                store_seq: rec.event.seq,
+                checkpoint,
+                unflushed_lines: rec.unflushed.iter().copied().collect(),
+            });
+        }
     }
 }
 
@@ -444,38 +489,119 @@ mod online_tests {
         }
     }
 
-    #[test]
-    fn working_set_shrinks_as_stores_become_durable() {
-        let mut c = OnlineChecker::new();
-        for i in 0..16u64 {
-            c.feed(&ev(
-                i,
-                EventKind::Store {
-                    addr: PM + i * 64,
-                    len: 8,
-                },
-            ));
-        }
-        assert_eq!(c.live_stores(), 16);
-        for i in 0..16u64 {
-            c.feed(&ev(
-                100 + i,
-                EventKind::Flush {
-                    kind: FlushKind::Clwb,
-                    addr: PM + i * 64,
-                },
-            ));
-        }
-        assert_eq!(c.live_stores(), 16, "weak flushes keep stores pending");
-        c.feed(&ev(
-            200,
+    fn store(seq: u64, addr: u64, len: u64) -> Event {
+        ev(seq, EventKind::Store { addr, len })
+    }
+
+    fn flush(seq: u64, kind: FlushKind, addr: u64) -> Event {
+        ev(seq, EventKind::Flush { kind, addr })
+    }
+
+    fn fence(seq: u64) -> Event {
+        ev(
+            seq,
             EventKind::Fence {
                 kind: FenceKind::Sfence,
             },
-        ));
+        )
+    }
+
+    #[test]
+    fn working_set_shrinks_as_stores_become_durable() {
+        let stores: Vec<Event> = (0..16u64).map(|i| store(i, PM + i * 64, 8)).collect();
+        let flushes: Vec<Event> = (0..16u64)
+            .map(|i| flush(100 + i, FlushKind::Clwb, PM + i * 64))
+            .collect();
+        let (fence, end) = (fence(200), ev(201, EventKind::ProgramEnd));
+        let mut c = OnlineChecker::new();
+        for e in &stores {
+            c.feed(e);
+        }
+        assert_eq!(c.live_stores(), 16);
+        for e in &flushes {
+            c.feed(e);
+        }
+        assert_eq!(c.live_stores(), 16, "weak flushes keep stores pending");
+        c.feed(&fence);
         assert_eq!(c.live_stores(), 0, "the fence retires everything");
-        c.feed(&ev(201, EventKind::ProgramEnd));
+        c.feed(&end);
         assert!(c.finish().is_clean());
+    }
+
+    #[test]
+    fn fences_with_nothing_pending_visit_no_records() {
+        // Flush-free code: every store stays live, and no fence has
+        // anything to drain.
+        let n = 2_000u64;
+        let stores: Vec<Event> = (0..n).map(|i| store(i, PM + (i % 300) * 64, 8)).collect();
+        let fences: Vec<Event> = (0..1_000u64).map(|i| fence(n + i)).collect();
+        let mut c = OnlineChecker::new();
+        for (s, f) in stores.iter().zip(&fences) {
+            c.feed(s);
+            c.feed(f);
+        }
+        for e in &stores[fences.len()..] {
+            c.feed(e);
+        }
+        assert_eq!(c.live_stores(), n as usize);
+        assert_eq!(c.visits, 0);
+    }
+
+    #[test]
+    fn flush_visits_only_the_stores_on_its_line() {
+        // 3 stores on the target line among 500 elsewhere; one of them
+        // also spans the next line.
+        let mut stores: Vec<Event> = (0..500u64)
+            .map(|i| store(i, PM + 4096 + i * 64, 8))
+            .collect();
+        stores.push(store(500, PM, 8));
+        stores.push(store(501, PM + 8, 8));
+        stores.push(store(502, PM + 60, 8));
+        let weak = flush(600, FlushKind::Clwb, PM + 4);
+        let reflush = flush(601, FlushKind::ClflushOpt, PM);
+        let fence = fence(602);
+        let mut c = OnlineChecker::new();
+        for e in &stores {
+            c.feed(e);
+        }
+        c.feed(&weak);
+        assert_eq!(c.visits, 3, "the flush touches only its line's stores");
+        c.feed(&reflush);
+        assert_eq!(c.visits, 6, "a re-flush of a pending line likewise");
+        c.feed(&fence);
+        assert_eq!(c.visits, 9, "the fence touches only the pending stores");
+        assert_eq!(c.live_stores(), 501, "the line-spanning store is left");
+    }
+
+    #[test]
+    fn retired_stores_leave_no_index_entries() {
+        // Store → flush → fence on many distinct lines, with line-spanning
+        // stores and strong flushes mixed in: nothing may stay behind.
+        let mut events = vec![];
+        for i in 0..1_000u64 {
+            let addr = PM + i * 256;
+            events.push(store(4 * i, addr, if i % 3 == 0 { 130 } else { 8 }));
+            let kind = if i % 2 == 0 {
+                FlushKind::Clwb
+            } else {
+                FlushKind::Clflush
+            };
+            for line in 0..3 {
+                events.push(flush(4 * i + 1, kind, addr + line * 64));
+            }
+            events.push(fence(4 * i + 3));
+        }
+        let mut c = OnlineChecker::new();
+        for e in &events {
+            c.feed(e);
+        }
+        assert_eq!(c.live_stores(), 0);
+        assert!(
+            c.by_line.is_empty(),
+            "{} lines still indexed",
+            c.by_line.len()
+        );
+        assert!(c.pending.is_empty());
     }
 
     #[test]

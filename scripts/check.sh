@@ -16,6 +16,19 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> no test registered twice in one test binary"
+# `--list` prints each binary's test names, then its "N tests, M
+# benchmarks" summary. A name listed twice before that summary is a test
+# the harness would run twice, concurrently.
+dups="$(cargo test --workspace -- --list 2>/dev/null | awk '
+    / benchmarks?$/ { split("", seen); next }
+    /: test$/ && seen[$0]++ { print }')"
+if [ -n "$dups" ]; then
+    echo "check.sh: tests registered twice in one binary:" >&2
+    echo "$dups" >&2
+    exit 1
+fi
+
 echo "==> differential tier gate (interp and fast must be observationally identical)"
 cargo test -q --release -p system-tests --test tier_differential
 

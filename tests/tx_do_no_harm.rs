@@ -8,6 +8,7 @@ use hippocrates::{Hippocrates, RepairOptions};
 use pmfault::{FaultKind, FaultPlan, FaultSite, Trigger};
 use pmvm::{Vm, VmOptions};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The publish-pattern program family from `explore_do_no_harm`: `n_keys`
 /// records, each a data line and a flag line, with per-site persists
@@ -118,9 +119,13 @@ proptest! {
     /// to the byte-identical module.
     #[test]
     fn journal_resume_replays_committed_rounds(n_keys in 1u8..4, mask in 0u8..=255) {
+        // One journal per case: no two cases, in this process or another,
+        // ever contend for the same file or its lock.
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("hippo-tx-prop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("k{n_keys}m{mask}.journal"));
+        let path = dir.join(format!("k{n_keys}m{mask}-{case}.journal"));
         std::fs::remove_file(&path).ok();
         let src = program(n_keys, mask);
         let opts = || RepairOptions {
