@@ -105,8 +105,13 @@ fn full_queue_answers_busy_and_canceled_jobs_never_run() {
         .unwrap();
     let mut queued = None;
     let mut saw_busy = false;
-    for _ in 0..200 {
-        match c.submit(spec(JobKind::Explore)).unwrap() {
+    for seed in 0..200 {
+        // A distinct seed per submission: a repeated spec would be a
+        // result-cache hit, which the worker drains faster than the
+        // client can refill the queue.
+        let mut explore = spec(JobKind::Explore);
+        explore.seed = seed;
+        match c.submit(explore).unwrap() {
             // When the worker has already drained the queue, the newest
             // accepted job is the one that fills it again.
             Submitted::Accepted(id) => queued = Some(id),

@@ -1,16 +1,19 @@
 //! Crash images: the durable state an observer finds after a failure.
 
 use crate::media::PmMedia;
+use crate::pool::PoolBytes;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A snapshot of every pool's durable bytes at a crash.
 ///
 /// Crash-consistency tests compare images (did the update become durable?)
-/// or boot a fresh [`crate::Machine`] from one to run recovery code.
+/// or boot a fresh [`crate::Machine`] from one to run recovery code. Pools
+/// are [`PoolBytes`]: an image shares the pages of the medium it was taken
+/// from, and a boot copies only the pages it writes.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashImage {
-    pools: BTreeMap<u64, Vec<u8>>,
+    pools: BTreeMap<u64, PoolBytes>,
     bases: BTreeMap<u64, u64>,
 }
 
@@ -26,9 +29,9 @@ impl CrashImage {
         CrashImage { pools, bases }
     }
 
-    /// The durable bytes of pool `hint`, if it exists.
-    pub fn pool_bytes(&self, hint: u64) -> Option<&[u8]> {
-        self.pools.get(&hint).map(Vec::as_slice)
+    /// A flat copy of the durable bytes of pool `hint`, if it exists.
+    pub fn pool_bytes(&self, hint: u64) -> Option<Vec<u8>> {
+        self.pools.get(&hint).map(PoolBytes::to_vec)
     }
 
     /// The base address pool `hint` was mapped at.
@@ -42,20 +45,20 @@ impl CrashImage {
     }
 
     /// Iterates over `(hint, base, bytes)` triples in hint order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, &[u8])> {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, &PoolBytes)> {
         self.pools
             .iter()
-            .map(|(&hint, bytes)| (hint, self.bases[&hint], bytes.as_slice()))
+            .map(|(&hint, bytes)| (hint, self.bases[&hint], bytes))
     }
 
     /// Builds an image directly from `(hint, base, bytes)` pool triples.
     /// Exploration engines use this to materialize hypothetical crash
     /// states without going through a [`crate::Machine`].
-    pub fn from_parts(parts: impl IntoIterator<Item = (u64, u64, Vec<u8>)>) -> Self {
+    pub fn from_parts<B: Into<PoolBytes>>(parts: impl IntoIterator<Item = (u64, u64, B)>) -> Self {
         let mut pools = BTreeMap::new();
         let mut bases = BTreeMap::new();
         for (hint, base, bytes) in parts {
-            pools.insert(hint, bytes);
+            pools.insert(hint, bytes.into());
             bases.insert(hint, base);
         }
         CrashImage { pools, bases }
@@ -74,17 +77,16 @@ impl CrashImage {
                 continue;
             };
             if addr >= base && end <= pool_end {
-                let off = (addr - base) as usize;
                 let mut buf = [0u8; 8];
-                buf[..len as usize].copy_from_slice(&bytes[off..off + len as usize]);
+                bytes.read((addr - base) as usize, &mut buf[..len as usize]);
                 return Some(i64::from_le_bytes(buf));
             }
         }
         None
     }
 
-    /// Converts the image back into a medium for recovery runs. Reuses the
-    /// image's byte buffers — no pool contents are copied or re-zeroed
+    /// Converts the image back into a medium for recovery runs. The medium
+    /// adopts the image's pages: no pool contents are copied or re-zeroed
     /// (recovery boots are the explorer's hot path).
     pub fn into_media(self) -> PmMedia {
         let mut media = PmMedia::new();
@@ -145,6 +147,25 @@ mod tests {
             img.pool_bytes(9).unwrap().to_vec(),
         )]);
         assert_eq!(rebuilt, img);
+    }
+
+    #[test]
+    fn unaligned_base_from_an_image_still_persists_whole_lines() {
+        // The machine page-aligns every base it picks, but a deserialized
+        // image can carry any base. A line of such a pool may straddle two
+        // pages; it must still be written back whole.
+        use crate::crash::CrashImage;
+        let base = crate::layout::PM_BASE + 16;
+        let img = CrashImage::from_parts([(4u64, base, vec![0u8; 8192])]);
+        let mut m = Machine::with_media(img.into_media(), Default::default());
+        assert_eq!(m.map_pool(4, 8192), Ok(base));
+        let addr = crate::layout::line_of(base + 4096);
+        m.store(addr, &[7; 64]).unwrap();
+        m.flush(FlushKind::Clwb, addr).unwrap();
+        m.fence(FenceKind::Sfence);
+        let img = m.crash_image();
+        assert_eq!(img.read_int(addr, 8), Some(0x0707_0707_0707_0707));
+        assert_eq!(img.read_int(addr + 56, 8), Some(0x0707_0707_0707_0707));
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod layout;
 pub mod lineset;
 pub mod machine;
 pub mod media;
+pub mod pool;
 pub mod stats;
 
 pub use cost::CostModel;
@@ -51,6 +52,7 @@ pub use layout::{Region, CACHE_LINE};
 pub use lineset::LineSet;
 pub use machine::Machine;
 pub use media::PmMedia;
+pub use pool::{PoolBytes, PAGE};
 pub use stats::MachineStats;
 
 pub use kinds::{FenceKind, FlushKind};

@@ -9,6 +9,7 @@ use crate::layout::{
 };
 use crate::lineset::LineSet;
 use crate::media::PmMedia;
+use crate::pool::PoolBytes;
 use crate::stats::MachineStats;
 use crate::{FenceKind, FlushKind};
 use std::collections::BTreeMap;
@@ -20,12 +21,14 @@ struct HeapAlloc {
     live: bool,
 }
 
-/// One mapped PM pool's volatile view (the cache-visible bytes).
+/// One mapped PM pool's volatile view (the cache-visible bytes). It starts
+/// as a page-table copy of the medium's pool and copies a page only when a
+/// store first writes it.
 #[derive(Debug, Clone)]
 struct PoolCache {
     hint: u64,
     base: u64,
-    bytes: Vec<u8>,
+    bytes: PoolBytes,
 }
 
 /// The machine. See the [crate docs](crate) for the model.
@@ -235,6 +238,7 @@ impl Machine {
     /// Fails with [`MemError::PoolSizeMismatch`] if the pool exists with a
     /// different size, or [`MemError::OutOfMemory`] if the PM window is full.
     pub fn map_pool(&mut self, hint: u64, size: u64) -> Result<u64, MemError> {
+        let size = align_up(size.max(1), CACHE_LINE);
         if let Some(p) = self.pools.iter().find(|p| p.hint == hint) {
             let have = p.bytes.len() as u64;
             if have != size {
@@ -246,8 +250,7 @@ impl Machine {
             }
             return Ok(p.base);
         }
-        let size = align_up(size.max(1), CACHE_LINE);
-        let (base, fresh) = match self.media.pool(hint) {
+        let base = match self.media.pool(hint) {
             Some(pm) => {
                 let have = pm.bytes.len() as u64;
                 if have != size {
@@ -257,7 +260,7 @@ impl Machine {
                         want: size,
                     });
                 }
-                (pm.base, false)
+                pm.base
             }
             None => {
                 let base = align_up(self.media.high_water().unwrap_or(PM_BASE), 4096);
@@ -265,14 +268,10 @@ impl Machine {
                     return Err(MemError::OutOfMemory { what: "pm" });
                 }
                 self.media.insert(hint, base, size);
-                (base, true)
+                base
             }
         };
-        let bytes = if fresh {
-            vec![0; size as usize]
-        } else {
-            self.media.pool(hint).expect("pool exists").bytes.clone()
-        };
+        let bytes = self.media.pool(hint).expect("pool exists").bytes.clone();
         self.pools.push(PoolCache { hint, base, bytes });
         self.pools.sort_by_key(|p| p.base);
         Ok(base)
@@ -339,36 +338,40 @@ impl Machine {
         }
     }
 
-    fn raw_slice_mut(&mut self, region: Region, addr: u64, len: u64) -> &mut [u8] {
-        let (buf, base): (&mut Vec<u8>, u64) = match region {
+    /// Copies the checked range `[addr, addr + out.len())` into `out`. PM
+    /// reads split at page boundaries.
+    fn read(&self, region: Region, addr: u64, out: &mut [u8]) {
+        let (buf, base) = match region {
+            Region::Stack => (&self.stack, STACK_BASE),
+            Region::Heap => (&self.heap, HEAP_BASE),
+            Region::Global => (&self.globals, GLOBAL_BASE),
+            Region::Pm => {
+                let p = &self.pools[self.pool_index_of(addr).expect("checked")];
+                return p.bytes.read((addr - p.base) as usize, out);
+            }
+        };
+        let off = (addr - base) as usize;
+        out.copy_from_slice(&buf[off..off + out.len()]);
+    }
+
+    /// Calls `f` on the checked range `[addr, addr + len)`, passing each
+    /// piece's offset within the range. PM writes split at page boundaries
+    /// and copy a shared page before writing it.
+    fn write(&mut self, region: Region, addr: u64, len: u64, mut f: impl FnMut(usize, &mut [u8])) {
+        let (buf, base) = match region {
             Region::Stack => (&mut self.stack, STACK_BASE),
             Region::Heap => (&mut self.heap, HEAP_BASE),
             Region::Global => (&mut self.globals, GLOBAL_BASE),
             Region::Pm => {
                 let i = self.pool_index_of(addr).expect("checked");
                 let p = &mut self.pools[i];
-                let off = (addr - p.base) as usize;
-                return &mut p.bytes[off..off + len as usize];
+                return p
+                    .bytes
+                    .write_with((addr - p.base) as usize, len as usize, f);
             }
         };
         let off = (addr - base) as usize;
-        &mut buf[off..off + len as usize]
-    }
-
-    fn raw_slice(&self, region: Region, addr: u64, len: u64) -> &[u8] {
-        let (buf, base): (&Vec<u8>, u64) = match region {
-            Region::Stack => (&self.stack, STACK_BASE),
-            Region::Heap => (&self.heap, HEAP_BASE),
-            Region::Global => (&self.globals, GLOBAL_BASE),
-            Region::Pm => {
-                let i = self.pool_index_of(addr).expect("checked");
-                let p = &self.pools[i];
-                let off = (addr - p.base) as usize;
-                return &p.bytes[off..off + len as usize];
-            }
-        };
-        let off = (addr - base) as usize;
-        &buf[off..off + len as usize]
+        f(0, &mut buf[off..off + len as usize]);
     }
 
     // ----- loads and stores ---------------------------------------------------
@@ -413,8 +416,9 @@ impl Machine {
                 }
             }
         }
-        self.raw_slice_mut(region, addr, write_len)
-            .copy_from_slice(&bytes[..write_len as usize]);
+        self.write(region, addr, write_len, |at, piece| {
+            piece.copy_from_slice(&bytes[at..at + piece.len()]);
+        });
         if region.is_pm() {
             self.stats.pm_stores += 1;
             self.stats.cycles += self.cost.pm_store;
@@ -458,7 +462,7 @@ impl Machine {
                 }
             }
         }
-        out.copy_from_slice(self.raw_slice(region, addr, len));
+        self.read(region, addr, out);
         if region.is_pm() {
             self.stats.pm_loads += 1;
             self.stats.cycles += self.cost.pm_load;
@@ -502,9 +506,11 @@ impl Machine {
         }
         let src_region = self.check_range(src, len)?;
         let dst_region = self.check_range(dst, len)?;
-        let tmp = self.raw_slice(src_region, src, len).to_vec();
-        self.raw_slice_mut(dst_region, dst, len)
-            .copy_from_slice(&tmp);
+        let mut tmp = vec![0; len as usize];
+        self.read(src_region, src, &mut tmp);
+        self.write(dst_region, dst, len, |at, piece| {
+            piece.copy_from_slice(&tmp[at..at + piece.len()]);
+        });
         self.account_bulk_write(dst_region, dst, len);
         self.stats.cycles += self.cost.bulk_byte * len.div_ceil(16);
         if src_region.is_pm() {
@@ -525,7 +531,7 @@ impl Machine {
             return Ok(());
         }
         let region = self.check_range(dst, len)?;
-        self.raw_slice_mut(region, dst, len).fill(val);
+        self.write(region, dst, len, |_, piece| piece.fill(val));
         self.account_bulk_write(region, dst, len);
         self.stats.cycles += self.cost.bulk_byte * len.div_ceil(16);
         Ok(())
@@ -628,12 +634,8 @@ impl Machine {
             return;
         };
         let p = &self.pools[i];
-        let off = (line - p.base) as usize;
-        let end = (off + CACHE_LINE as usize).min(p.bytes.len());
-        let bytes = p.bytes[off..end].to_vec();
-        let hint = p.hint;
-        let pm = self.media.pool_mut(hint).expect("mapped pool has media");
-        pm.bytes[off..end].copy_from_slice(&bytes);
+        let pm = self.media.pool_mut(p.hint).expect("mapped pool has media");
+        pm.bytes.copy_line_from(&p.bytes, (line - p.base) as usize);
         self.dirty_lines.remove(line);
     }
 
@@ -656,10 +658,8 @@ impl Machine {
             }
             if let Some(i) = self.pool_index_of(line) {
                 let p = &self.pools[i];
-                let off = (line - p.base) as usize;
-                let end = (off + CACHE_LINE as usize).min(p.bytes.len());
                 let pm = media.pool_mut(p.hint).expect("media");
-                pm.bytes[off..end].copy_from_slice(&p.bytes[off..end]);
+                pm.bytes.copy_line_from(&p.bytes, (line - p.base) as usize);
             }
         }
         CrashImage::of_media(&media)
@@ -679,10 +679,8 @@ impl Machine {
             }
             if let Some(i) = self.pool_index_of(line) {
                 let p = &self.pools[i];
-                let off = (line - p.base) as usize;
-                let end = (off + CACHE_LINE as usize).min(p.bytes.len());
                 let pm = media.pool_mut(p.hint).expect("media");
-                pm.bytes[off..end].copy_from_slice(&p.bytes[off..end]);
+                pm.bytes.copy_line_from(&p.bytes, (line - p.base) as usize);
             }
         }
         CrashImage::of_media(&media)
@@ -717,7 +715,9 @@ impl Machine {
     /// Returns a [`MemError`] on an invalid range.
     pub fn peek(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
         let region = self.check_range(addr, len)?;
-        Ok(self.raw_slice(region, addr, len).to_vec())
+        let mut out = vec![0; len as usize];
+        self.read(region, addr, &mut out);
+        Ok(out)
     }
 }
 
@@ -902,6 +902,71 @@ mod tests {
             m.map_pool(0, 256),
             Err(MemError::PoolSizeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn remapping_with_an_unaligned_size_succeeds() {
+        // Regression: the already-mapped branch compared the caller's raw
+        // size with the line-aligned pool length, so the second
+        // `map_pool(7, 100)` failed with `have: 128, want: 100`.
+        let mut m = Machine::default();
+        let p = m.map_pool(7, 100).unwrap();
+        assert_eq!(m.map_pool(7, 100), Ok(p));
+        assert_eq!(m.map_pool(7, 128), Ok(p));
+        assert_eq!(
+            m.map_pool(7, 129),
+            Err(MemError::PoolSizeMismatch {
+                pool: 7,
+                have: 128,
+                want: 192
+            })
+        );
+    }
+
+    #[test]
+    fn crash_images_and_boots_copy_only_written_pages() {
+        use crate::pool::{copies, PAGE};
+        const SIZE: u64 = 16 << 20;
+        let mut m = Machine::default();
+        let p = m.map_pool(300, SIZE).unwrap();
+        // k persisted lines, each on its own page.
+        let lines: Vec<u64> = (0..5u64).map(|i| p + i * 7 * PAGE as u64 + 128).collect();
+        for (i, &line) in lines.iter().enumerate() {
+            m.store_int(line, 8, i as i64 + 1).unwrap();
+        }
+        let before = copies::count();
+        let img = m.crash_image_with_lines(&lines);
+        let image_copies = copies::count() - before;
+        assert!(
+            image_copies <= lines.len() as u64,
+            "{image_copies} page copies for {} persisted lines",
+            lines.len()
+        );
+
+        // A recovery boot that only reads copies nothing.
+        let before = copies::count();
+        let mut boot = Machine::with_media(img.into_media(), CostModel::default());
+        assert_eq!(boot.map_pool(300, SIZE), Ok(p));
+        for (i, &line) in lines.iter().enumerate() {
+            assert_eq!(boot.load_int(line, 8), Ok(i as i64 + 1));
+        }
+        assert_eq!(copies::count(), before, "reads copy no page");
+        // Writing one fresh page and persisting it copies that page twice:
+        // once into the cache view, once into the medium.
+        let fresh = p + 3 * PAGE as u64;
+        boot.store_int(fresh, 8, 9).unwrap();
+        boot.flush(FlushKind::Clwb, fresh).unwrap();
+        boot.fence(FenceKind::Sfence);
+        assert_eq!(copies::count() - before, 2);
+        // A page the image persisted a line into is the medium's own: the
+        // cache view copies it, the write-back lands in place.
+        boot.store_int(lines[1] + 8, 8, 9).unwrap();
+        boot.flush(FlushKind::Clwb, lines[1] + 8).unwrap();
+        boot.fence(FenceKind::Sfence);
+        assert_eq!(copies::count() - before, 3);
+        // The machine the image came from is untouched.
+        assert_eq!(m.load_int(fresh, 8), Ok(0));
+        assert_eq!(m.crash_image().read_int(lines[1], 8), Some(0));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The persistent medium: the only state that survives a simulated crash.
 
+use crate::pool::PoolBytes;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -9,8 +10,9 @@ pub struct PoolMedia {
     /// The pool's base address in the simulated address space. Stable across
     /// re-mapping, so recovery code sees the same pointers.
     pub base: u64,
-    /// Durable contents.
-    pub bytes: Vec<u8>,
+    /// Durable contents (copy-on-write pages: cloning a medium or taking
+    /// a crash image copies page tables, not bytes).
+    pub bytes: PoolBytes,
 }
 
 /// The set of PM pools' durable contents, keyed by the program-chosen pool
@@ -60,11 +62,11 @@ impl PmMedia {
 
     /// Registers a new pool.
     pub(crate) fn insert(&mut self, hint: u64, base: u64, size: u64) {
-        self.insert_with_bytes(hint, base, vec![0; size as usize]);
+        self.insert_with_bytes(hint, base, PoolBytes::zeroed(size as usize));
     }
 
     /// Registers a pool that adopts `bytes` as its durable contents.
-    pub(crate) fn insert_with_bytes(&mut self, hint: u64, base: u64, bytes: Vec<u8>) {
+    pub(crate) fn insert_with_bytes(&mut self, hint: u64, base: u64, bytes: PoolBytes) {
         self.pools.insert(hint, PoolMedia { base, bytes });
     }
 

@@ -1,23 +1,46 @@
 //! Property tests of the machine model: the §4 event algebra holds on
 //! random operation sequences.
 
-use pmem_sim::{layout, FenceKind, FlushKind, Machine, PmMedia};
+use pmem_sim::{layout, FenceKind, FlushKind, Machine, PmMedia, PAGE};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum MOp {
-    Store { off: u16, val: u8 },
+    Store { off: u16, bytes: Vec<u8> },
+    Memset { off: u16, val: u8, len: u16 },
+    Memcpy { dst: u16, src: u16, len: u16 },
     Flush { off: u16, kind: u8 },
     Fence { strong: bool },
     Evict { off: u16 },
 }
 
 const POOL: u64 = 0;
-const POOL_SIZE: u64 = 4096;
+/// Three pages and three lines: accesses straddle two page boundaries and
+/// the pool ends mid-page.
+const POOL_SIZE: u64 = 3 * PAGE as u64 + 192;
+
+/// Offsets half uniform, half within two lines of a page boundary, where
+/// pool accesses split across pages.
+fn off_strategy() -> impl Strategy<Value = u16> {
+    prop_oneof![
+        1 => 0u16..POOL_SIZE as u16,
+        1 => (1u16..=3, 0u16..256).prop_map(|(page, d)| page * PAGE as u16 - 128 + d),
+    ]
+}
+
+/// `off` moved down so that `[off, off + len)` fits the pool.
+fn fit(off: u16, len: u16) -> u16 {
+    off.min(POOL_SIZE as u16 - len)
+}
 
 fn op_strategy() -> impl Strategy<Value = MOp> {
     prop_oneof![
-        4 => (0u16..POOL_SIZE as u16 - 8, any::<u8>()).prop_map(|(off, val)| MOp::Store { off, val }),
+        4 => (off_strategy(), proptest::collection::vec(any::<u8>(), 1..17))
+            .prop_map(|(off, bytes)| MOp::Store { off: fit(off, bytes.len() as u16), bytes }),
+        1 => (off_strategy(), any::<u8>(), 1u16..300)
+            .prop_map(|(off, val, len)| MOp::Memset { off: fit(off, len), val, len }),
+        1 => (off_strategy(), off_strategy(), 1u16..300)
+            .prop_map(|(dst, src, len)| MOp::Memcpy { dst: fit(dst, len), src: fit(src, len), len }),
         3 => (0u16..POOL_SIZE as u16 - 8, 0u8..3).prop_map(|(off, kind)| MOp::Flush { off, kind }),
         2 => any::<bool>().prop_map(|strong| MOp::Fence { strong }),
         1 => (0u16..POOL_SIZE as u16 - 8).prop_map(|off| MOp::Evict { off }),
@@ -26,6 +49,23 @@ fn op_strategy() -> impl Strategy<Value = MOp> {
 
 fn flush_kind(k: u8) -> FlushKind {
     [FlushKind::Clwb, FlushKind::ClflushOpt, FlushKind::Clflush][k as usize % 3]
+}
+
+/// Runs `op` on the machine's pool at `base`.
+fn drive(m: &mut Machine, base: u64, op: &MOp) {
+    let at = |off: u16| base + u64::from(off);
+    match op {
+        MOp::Store { off, bytes } => m.store(at(*off), bytes).unwrap(),
+        MOp::Memset { off, val, len } => m.memset(at(*off), *val, u64::from(*len)).unwrap(),
+        MOp::Memcpy { dst, src, len } => m.memcpy(at(*dst), at(*src), u64::from(*len)).unwrap(),
+        MOp::Flush { off, kind } => m.flush(flush_kind(*kind), at(*off)).unwrap(),
+        MOp::Fence { strong } => m.fence(if *strong {
+            FenceKind::Mfence
+        } else {
+            FenceKind::Sfence
+        }),
+        MOp::Evict { off } => m.evict(at(*off)),
+    }
 }
 
 /// A byte-level reference model of the durability semantics: the medium
@@ -59,11 +99,25 @@ impl Reference {
         self.pending.remove(&line);
     }
 
+    /// Writes `bytes` to the cache at `off`, dirtying every covered line.
+    fn write(&mut self, off: u16, bytes: &[u8]) {
+        let off = off as usize;
+        self.cache[off..off + bytes.len()].copy_from_slice(bytes);
+        let last = Self::line((off + bytes.len() - 1) as u64);
+        let mut line = Self::line(off as u64);
+        while line <= last {
+            self.dirty.insert(line);
+            line += 64;
+        }
+    }
+
     fn apply(&mut self, op: &MOp) {
         match *op {
-            MOp::Store { off, val } => {
-                self.cache[off as usize] = val;
-                self.dirty.insert(Self::line(u64::from(off)));
+            MOp::Store { off, ref bytes } => self.write(off, bytes),
+            MOp::Memset { off, val, len } => self.write(off, &vec![val; len as usize]),
+            MOp::Memcpy { dst, src, len } => {
+                let src = self.cache[src as usize..(src + len) as usize].to_vec();
+                self.write(dst, &src);
             }
             MOp::Flush { off, kind } => {
                 let line = Self::line(u64::from(off));
@@ -101,18 +155,7 @@ proptest! {
         let base = m.map_pool(POOL, POOL_SIZE).unwrap();
         let mut r = Reference::new();
         for op in &ops {
-            match *op {
-                MOp::Store { off, val } => {
-                    m.store(base + u64::from(off), &[val]).unwrap();
-                }
-                MOp::Flush { off, kind } => {
-                    m.flush(flush_kind(kind), base + u64::from(off)).unwrap();
-                }
-                MOp::Fence { strong } => {
-                    m.fence(if strong { FenceKind::Mfence } else { FenceKind::Sfence });
-                }
-                MOp::Evict { off } => m.evict(base + u64::from(off)),
-            }
+            drive(&mut m, base, op);
             r.apply(op);
         }
         let img = m.crash_image();
@@ -133,18 +176,7 @@ proptest! {
         let mut m = Machine::default();
         let base = m.map_pool(POOL, POOL_SIZE).unwrap();
         for op in &ops {
-            match *op {
-                MOp::Store { off, val } => {
-                    m.store(base + u64::from(off), &[val]).unwrap();
-                }
-                MOp::Flush { off, kind } => {
-                    m.flush(flush_kind(kind), base + u64::from(off)).unwrap();
-                }
-                MOp::Fence { strong } => {
-                    m.fence(if strong { FenceKind::Mfence } else { FenceKind::Sfence });
-                }
-                MOp::Evict { off } => m.evict(base + u64::from(off)),
-            }
+            drive(&mut m, base, op);
         }
         let img = m.crash_image();
         let media: PmMedia = m.into_media();
@@ -163,18 +195,7 @@ proptest! {
         let mut m = Machine::default();
         let base = m.map_pool(POOL, POOL_SIZE).unwrap();
         for op in &ops {
-            match *op {
-                MOp::Store { off, val } => {
-                    m.store(base + u64::from(off), &[val]).unwrap();
-                }
-                MOp::Flush { off, kind } => {
-                    m.flush(flush_kind(kind), base + u64::from(off)).unwrap();
-                }
-                MOp::Fence { strong } => {
-                    m.fence(if strong { FenceKind::Mfence } else { FenceKind::Sfence });
-                }
-                MOp::Evict { off } => m.evict(base + u64::from(off)),
-            }
+            drive(&mut m, base, op);
         }
         let cache_before = m.peek(base, POOL_SIZE).unwrap();
         let mut line = base;
@@ -187,6 +208,42 @@ proptest! {
         let img = m.crash_image();
         prop_assert_eq!(img.pool_bytes(POOL).unwrap(), &cache_before[..]);
         prop_assert!(m.dirty_pm_lines().is_empty());
+    }
+
+    /// Images are snapshots: pages an image shares with the machine it came
+    /// from, or with a machine booted from it, are copied before either
+    /// machine writes them, so later operations never show through.
+    #[test]
+    fn images_are_unaffected_by_later_writes(
+        ops in proptest::collection::vec(op_strategy(), 0..120),
+        cut in 0usize..120,
+    ) {
+        let mut m = Machine::default();
+        let base = m.map_pool(POOL, POOL_SIZE).unwrap();
+        let mut r = Reference::new();
+        let (before, after) = ops.split_at(cut.min(ops.len()));
+        for op in before {
+            drive(&mut m, base, op);
+            r.apply(op);
+        }
+        let img = m.crash_image();
+        let all_persisted = m.crash_image_with_lines(&m.dirty_pm_lines());
+        for op in after {
+            drive(&mut m, base, op);
+        }
+        let mut boot = Machine::with_media(img.clone().into_media(), Default::default());
+        let base2 = boot.map_pool(POOL, POOL_SIZE).unwrap();
+        for op in &ops {
+            drive(&mut boot, base2, op);
+        }
+        // Drain every line into the booted machine's medium.
+        let mut line = base2;
+        while line < base2 + POOL_SIZE {
+            boot.evict(line);
+            line += layout::CACHE_LINE;
+        }
+        prop_assert_eq!(img.pool_bytes(POOL).unwrap(), &r.media[..]);
+        prop_assert_eq!(all_persisted.pool_bytes(POOL).unwrap(), &r.cache[..]);
     }
 
     /// Volatile memory is never captured by crash images.

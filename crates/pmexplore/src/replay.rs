@@ -7,10 +7,11 @@
 //! the same state machine as [`pmem_sim::Machine`], but driven from the
 //! trace and the captured [`pmtrace::DataLog`] instead of from executing
 //! instructions. Materializing a crash candidate `(position, persisted
-//! lines)` is then a copy of the durable bytes with the chosen dirty lines
-//! overlaid from the cache.
+//! lines)` is then a page-table copy of the durable bytes with the chosen
+//! dirty lines overlaid from the cache: only the pages those lines sit on
+//! are copied ([`PoolBytes`]).
 
-use pmem_sim::{layout::line_of, CrashImage, LineSet, PmMedia, CACHE_LINE};
+use pmem_sim::{layout::line_of, CrashImage, LineSet, PmMedia, PoolBytes, CACHE_LINE};
 use pmtrace::{DataLog, Event, EventKind, Trace};
 use std::collections::BTreeMap;
 
@@ -31,37 +32,46 @@ fn header_term(hint: u64, base: u64, len: u64) -> u64 {
     mix64(mix64(hint ^ 0xa076_1d64_78bd_642f) ^ mix64(base).wrapping_add(mix64(len)))
 }
 
-/// The hash term of one cache line's content at `(hint, off)`.
+/// The hash term of one cache line's content at `(hint, off)`:
+/// `raw(bytes) ^ raw(zeros)`, where `raw` hashes the line as if it held
+/// those bytes and `zeros` is an all-zero line of the same length. An
+/// all-zero line's term is 0, so pages never written add nothing to the
+/// image hash and pool registration hashes only written pages.
 ///
-/// Terms are XOR-combined into a commutative image hash, so each term must
-/// entangle position and content non-linearly: the content words are folded
-/// *multiplicatively* into a position-seeded state (FNV-style chaining).
-/// A plain `seed ^ content_hash` split would make swapping two lines'
-/// contents a guaranteed hash collision.
+/// Terms are XOR-combined into a commutative image hash, so `raw` must
+/// entangle position and content non-linearly: the content words are
+/// folded *multiplicatively* into a position-seeded state (FNV-style
+/// chaining). A plain `seed ^ content_hash` split would make swapping two
+/// lines' contents a guaranteed hash collision.
 #[inline]
 fn line_term(hint: u64, off: u64, bytes: &[u8]) -> u64 {
-    let mut h =
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let seed =
         0x243f_6a88_85a3_08d3u64 ^ mix64(hint) ^ mix64(off.wrapping_add(0x9e37_79b9_7f4a_7c15));
+    // One pass runs both chains: `h` over the content, `z` over zeros.
+    let (mut h, mut z) = (seed, seed);
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        h = (h ^ w).wrapping_mul(PRIME);
+        z = z.wrapping_mul(PRIME);
     }
     let rest = chunks.remainder();
     if !rest.is_empty() {
         let mut w = [0u8; 8];
         w[..rest.len()].copy_from_slice(rest);
-        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(0x0000_0100_0000_01b3);
+        h = (h ^ u64::from_le_bytes(w)).wrapping_mul(PRIME);
+        z = z.wrapping_mul(PRIME);
     }
-    mix64(h)
+    mix64(h) ^ mix64(z)
 }
 
 /// One pool's replayed state.
 #[derive(Debug, Clone)]
 struct PoolState {
     base: u64,
-    durable: Vec<u8>,
-    cache: Vec<u8>,
+    durable: PoolBytes,
+    cache: PoolBytes,
 }
 
 /// Forward-only PM state reconstruction over a trace.
@@ -106,10 +116,13 @@ impl<'t> Replayer<'t> {
         r
     }
 
-    fn insert_pool(&mut self, hint: u64, base: u64, durable: Vec<u8>) {
+    fn insert_pool(&mut self, hint: u64, base: u64, durable: PoolBytes) {
         self.acc ^= header_term(hint, base, durable.len() as u64);
-        for (i, line) in durable.chunks(CACHE_LINE as usize).enumerate() {
-            self.acc ^= line_term(hint, (i * CACHE_LINE as usize) as u64, line);
+        // Zero lines hash to 0: only written pages contribute.
+        for (page, bytes) in durable.written_pages() {
+            for (i, line) in bytes.chunks(CACHE_LINE as usize).enumerate() {
+                self.acc ^= line_term(hint, (page + i * CACHE_LINE as usize) as u64, line);
+            }
         }
         let cache = durable.clone();
         self.bases.insert(base, hint);
@@ -140,11 +153,9 @@ impl<'t> Replayer<'t> {
     fn write_back_line(&mut self, line: u64) {
         if let Some((hint, off)) = self.locate(line) {
             let p = self.pools.get_mut(&hint).expect("located");
-            let end = (off + CACHE_LINE as usize).min(p.cache.len());
-            let (durable, cache) = (&mut p.durable, &p.cache);
-            self.acc ^= line_term(hint, off as u64, &durable[off..end]);
-            durable[off..end].copy_from_slice(&cache[off..end]);
-            self.acc ^= line_term(hint, off as u64, &durable[off..end]);
+            self.acc ^= line_term(hint, off as u64, &p.durable.line(off));
+            p.durable.copy_line_from(&p.cache, off);
+            self.acc ^= line_term(hint, off as u64, &p.durable.line(off));
         }
         self.dirty.remove(line);
     }
@@ -157,7 +168,7 @@ impl<'t> Replayer<'t> {
                 if !self.pools.contains_key(hint) {
                     // Pool sizes are line-aligned by the machine; mirror it.
                     let size = (*size).max(1).div_ceil(CACHE_LINE) * CACHE_LINE;
-                    self.insert_pool(*hint, *base, vec![0; size as usize]);
+                    self.insert_pool(*hint, *base, PoolBytes::zeroed(size as usize));
                 }
             }
             EventKind::Store { addr, len } => {
@@ -199,7 +210,7 @@ impl<'t> Replayer<'t> {
             let p = self.pools.get_mut(&hint).expect("located");
             let off = off + line_delta;
             let end = (off + bytes.len()).min(p.cache.len());
-            p.cache[off..end].copy_from_slice(&bytes[..end - off]);
+            p.cache.write(off, &bytes[..end - off]);
         }
         self.mark_dirty(addr, bytes.len() as u64);
     }
@@ -258,11 +269,10 @@ impl<'t> Replayer<'t> {
             prev = Some(line);
             if let Some((hint, off)) = self.locate(line) {
                 let p = &self.pools[&hint];
-                let end = (off + CACHE_LINE as usize).min(p.cache.len());
                 // Persisting the line replaces its durable bytes with the
                 // cache bytes: swap the line's term in the XOR accumulator.
-                h ^= line_term(hint, off as u64, &p.durable[off..end]);
-                h ^= line_term(hint, off as u64, &p.cache[off..end]);
+                h ^= line_term(hint, off as u64, &p.durable.line(off));
+                h ^= line_term(hint, off as u64, &p.cache.line(off));
             }
         }
         h
@@ -270,9 +280,10 @@ impl<'t> Replayer<'t> {
 
     /// Materializes the crash image for "the machine died here and exactly
     /// the dirty lines in `persisted` raced to the medium first". Non-dirty
-    /// entries are ignored.
+    /// entries are ignored. The image shares the durable pages; only the
+    /// pages holding persisted lines are copied.
     pub fn image_with(&self, persisted: &[u64]) -> CrashImage {
-        let mut parts: BTreeMap<u64, (u64, Vec<u8>)> = self
+        let mut parts: BTreeMap<u64, (u64, PoolBytes)> = self
             .pools
             .iter()
             .map(|(&hint, p)| (hint, (p.base, p.durable.clone())))
@@ -283,9 +294,11 @@ impl<'t> Replayer<'t> {
             }
             if let Some((hint, off)) = self.locate(line) {
                 let p = &self.pools[&hint];
-                let end = (off + CACHE_LINE as usize).min(p.cache.len());
-                parts.get_mut(&hint).expect("located").1[off..end]
-                    .copy_from_slice(&p.cache[off..end]);
+                parts
+                    .get_mut(&hint)
+                    .expect("located")
+                    .1
+                    .copy_line_from(&p.cache, off);
             }
         }
         CrashImage::from_parts(parts.into_iter().map(|(h, (b, bytes))| (h, b, bytes)))
@@ -434,6 +447,81 @@ mod tests {
         let (i2, h2) = img_for(11, 7);
         assert_ne!(i1, i2);
         assert_ne!(h1, h2, "swapped line contents must not collide");
+    }
+
+    #[test]
+    fn recovery_boots_leave_replayer_images_untouched() {
+        // Images share the replayer's durable pages, and a boot's medium
+        // and cache view share the image's. A recovery run that stores,
+        // flushes and fences on those pages must copy them first, so
+        // neither the candidate's image and hash nor a sibling image
+        // alive during the boot can change.
+        let src = r#"
+            fn main() {
+                var p: ptr = pmem_map(5, 8192);
+                store8(p, 0, 1);
+                clwb(p);
+                sfence();
+                store8(p, 64, 2);
+                store8(p, 4096, 3);
+            }
+            fn recover() -> int {
+                var p: ptr = pmem_map(5, 8192);
+                store8(p, 0, 99);
+                store8(p, 64, 98);
+                store8(p, 4160, 97);
+                clwb(p);
+                clwb(p + 64);
+                clwb(p + 4160);
+                sfence();
+                return 0;
+            }
+        "#;
+        let (m, res) = run(src);
+        let trace = res.trace.as_ref().unwrap();
+        let data = res.pm_data.as_ref().unwrap();
+        let mut r = Replayer::new(trace, data, None);
+        r.advance_to(u64::MAX);
+        let dirty = r.dirty_lines();
+        assert_eq!(dirty.len(), 2, "lines 64 and 4096 are dirty");
+        let (candidate, sibling) = ([dirty[0]], [dirty[1]]);
+        let (h, bytes) = (
+            r.hash_with(&candidate),
+            r.image_with(&candidate).pool_bytes(5).unwrap(),
+        );
+        let (hs, bytes_s) = (
+            r.hash_with(&sibling),
+            r.image_with(&sibling).pool_bytes(5).unwrap(),
+        );
+        let sibling_img = r.image_with(&sibling);
+
+        let booted =
+            Vm::new(VmOptions::default().with_media(r.image_with(&candidate).into_media()))
+                .run(&m, "recover")
+                .unwrap();
+        assert_eq!(booted.return_value, Some(0));
+        let base = trace
+            .events
+            .iter()
+            .find_map(|e| match e.kind {
+                EventKind::RegisterPool { base, .. } => Some(base),
+                _ => None,
+            })
+            .unwrap();
+        let after = booted.machine.crash_image();
+        for (off, v) in [(0, 99), (64, 98), (4160, 97)] {
+            assert_eq!(
+                after.read_int(base + off, 8),
+                Some(v),
+                "the boot persisted its stores"
+            );
+        }
+
+        assert_eq!(r.hash_with(&candidate), h);
+        assert_eq!(r.image_with(&candidate).pool_bytes(5).unwrap(), bytes);
+        assert_eq!(r.hash_with(&sibling), hs);
+        assert_eq!(r.image_with(&sibling).pool_bytes(5).unwrap(), bytes_s);
+        assert_eq!(sibling_img.pool_bytes(5).unwrap(), bytes_s);
     }
 
     #[test]
