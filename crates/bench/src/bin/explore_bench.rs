@@ -34,33 +34,14 @@ fn opts(obs: &Obs, jobs: usize) -> ExploreOptions {
     }
 }
 
-/// Repeats per throughput row: the demo workloads finish in fractions of a
-/// millisecond, so a single sample is dominated by scheduler luck (thread
-/// spawn latency, a neighbour's cache pressure) — exactly the noise that
-/// made the gated floors flake when the bench ran right after the heavier
-/// CI gates. The **median** wall across repeats discards one bad sample
-/// without the minimum's bias (min rewards j1, whose best case has no
-/// thread-spawn floor, and would skew the `j4_over_j1` ratio). The run is
-/// deterministic in the fixed seed, so every repeat explores identical
-/// candidates.
-const REPEATS: usize = 5;
-
-/// Runs one throughput measurement (median of [`REPEATS`]) and returns the
-/// wall seconds, so callers can derive cross-row ratios (the `j4_over_j1`
-/// parallel-speedup gauge).
+/// Runs one throughput measurement (median of [`bench::REPEATS`]) and
+/// returns the wall seconds, so callers can derive cross-row ratios (the
+/// `j4_over_j1` parallel-speedup gauge).
 fn throughput_row(obs: &Obs, name: &str, m: &pmir::Module, entry: &str, jobs: usize) -> f64 {
     let _span = obs.span(&format!("bench.throughput.{name}.j{jobs}"));
-    let mut walls = Vec::with_capacity(REPEATS);
-    let mut x = None;
-    for _ in 0..REPEATS {
-        let t0 = Instant::now();
-        let run = run_and_explore(m, entry, &opts(obs, jobs)).expect("exploration runs");
-        walls.push(t0.elapsed().as_secs_f64());
-        x = Some(run);
-    }
-    walls.sort_by(f64::total_cmp);
-    let secs = walls[walls.len() / 2];
-    let x = x.expect("at least one repeat ran");
+    let (secs, x) = bench::median_wall(|| {
+        run_and_explore(m, entry, &opts(obs, jobs)).expect("exploration runs")
+    });
     let candidates = x.report.stats.candidates;
     let states_per_sec = if secs > 0.0 {
         candidates as f64 / secs

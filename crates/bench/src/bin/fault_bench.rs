@@ -228,8 +228,10 @@ fn explore_opts(obs: &Obs, fault: Option<FaultPlan>, jobs: usize) -> ExploreOpti
     }
 }
 
-/// Explores once, records the `bench.fault.<target>.<layer>.*` metrics,
-/// and returns the wall seconds.
+/// Explores [`bench::REPEATS`] times, records the
+/// `bench.fault.<target>.<layer>.*` metrics of the median run, and returns
+/// its wall seconds. A single run of these rows takes a fraction of a
+/// millisecond, too short for one sample to say anything.
 fn overhead_row(
     obs: &Obs,
     target: &str,
@@ -240,9 +242,10 @@ fn overhead_row(
     fault: Option<FaultPlan>,
 ) -> f64 {
     let _span = obs.span(&format!("bench.overhead.{target}.{fault_layer}"));
-    let t0 = Instant::now();
-    let x = run_and_explore(m, entry, &explore_opts(obs, fault, jobs)).expect("exploration runs");
-    let secs = t0.elapsed().as_secs_f64();
+    let (secs, x) = bench::median_wall(|| {
+        run_and_explore(m, entry, &explore_opts(obs, fault.clone(), jobs))
+            .expect("exploration runs")
+    });
     let candidates = x.report.stats.candidates;
     let states_per_sec = if secs > 0.0 {
         candidates as f64 / secs

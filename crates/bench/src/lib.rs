@@ -34,7 +34,7 @@ pub mod table;
 
 pub use out::{out_path, positional_args, workspace_root, write_metrics};
 pub use redisx::{build_redis_variants, measure_workload, RedisVariants, WorkloadResult};
-pub use stats::{mean_ci95, vm_hwm_kb};
+pub use stats::{mean_ci95, median_wall, vm_hwm_kb, REPEATS};
 pub use table::Table;
 
 /// The simulated CPU frequency used to convert cycles to wall-clock

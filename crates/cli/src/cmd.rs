@@ -473,9 +473,9 @@ fn lint_group(
                 .filter_map(|r| r.loc.as_ref()),
         )
     {
-        if !texts.contains_key(&loc.file) && !loc.file.starts_with('<') {
-            if let Ok(t) = std::fs::read_to_string(&loc.file) {
-                texts.insert(loc.file.clone(), t);
+        if !texts.contains_key(&*loc.file) && !loc.file.starts_with('<') {
+            if let Ok(t) = std::fs::read_to_string(&*loc.file) {
+                texts.insert(loc.file.to_string(), t);
             }
         }
     }
@@ -485,9 +485,9 @@ fn lint_group(
         let findings = pmredund::analyze_module(&m, entry).map_err(|e| e.to_string())?;
         for f in &findings {
             if let Some(loc) = &f.loc {
-                if !texts.contains_key(&loc.file) && !loc.file.starts_with('<') {
-                    if let Ok(t) = std::fs::read_to_string(&loc.file) {
-                        texts.insert(loc.file.clone(), t);
+                if !texts.contains_key(&*loc.file) && !loc.file.starts_with('<') {
+                    if let Ok(t) = std::fs::read_to_string(&*loc.file) {
+                        texts.insert(loc.file.to_string(), t);
                     }
                 }
             }
@@ -558,11 +558,7 @@ fn render_lint(
         };
         let _ = writeln!(s, "warning: {}: {what}", bug.kind);
         excerpt(&mut s, bug.store_loc.as_ref(), texts, &{
-            let func = bug
-                .store_at
-                .as_ref()
-                .map(|at| at.function.as_str())
-                .unwrap_or("?");
+            let func = bug.store_at.as_ref().map(|at| &*at.function).unwrap_or("?");
             match bug.len {
                 0 => format!("store in `{func}`"),
                 n => format!("store of {n} byte(s) in `{func}`"),
@@ -612,7 +608,7 @@ fn excerpt(
     };
     let _ = writeln!(s, "  --> {}:{}:{}", loc.file, loc.line, loc.col.max(1));
     let line = texts
-        .get(&loc.file)
+        .get(&*loc.file)
         .and_then(|t| t.lines().nth(loc.line.saturating_sub(1) as usize));
     if let Some(line) = line {
         let num = loc.line.to_string();
@@ -1370,12 +1366,19 @@ mod tests {
             "only {} stages: {stages:?}",
             stages.len()
         );
-        for stage in ["cli", "repair", "explore", "vm", "check", "trace"] {
+        for stage in ["cli", "repair", "explore", "vm", "check"] {
             assert!(
                 stages.contains(stage),
                 "missing stage `{stage}`: {stages:?}"
             );
         }
+        // The trace stage has no span of its own: every detect pass counts
+        // the events of its in-memory trace.
+        assert!(
+            snap.counters.get("trace.events").copied().unwrap_or(0) > 0,
+            "no trace events counted: {:?}",
+            snap.counters
+        );
         let inserted = snap
             .counters
             .get("repair.inserted.fences")

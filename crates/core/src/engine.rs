@@ -254,7 +254,7 @@ impl Hippocrates {
                 .first()
                 .and_then(|s| m.function(s.func).inst(s.store).loc)
                 .map(|l| pmtrace::TraceLoc {
-                    file: m.file_name(l.file).to_string(),
+                    file: m.file_name(l.file).into(),
                     line: l.line,
                     col: l.col,
                 });
@@ -627,7 +627,7 @@ impl Hippocrates {
         diagnostics: &mut Vec<String>,
     ) -> Result<(CheckReport, Trace), RepairError> {
         let _span = self.opts.obs.span("repair.detect");
-        match self.opts.bug_source {
+        let detected = match self.opts.bug_source {
             BugSource::Dynamic => {
                 let c = self
                     .dynamic_with_retries(m, entry, vm_opts, diagnostics)
@@ -678,7 +678,11 @@ impl Hippocrates {
                 self.harden_trace(&trace, injector, degraded, diagnostics);
                 Ok((report, trace))
             }
+        };
+        if let Ok((_, trace)) = &detected {
+            self.opts.obs.add("trace.events", trace.len() as u64);
         }
+        detected
     }
 
     /// The inverse pass: after a clean repair, strip provably-redundant
@@ -903,12 +907,6 @@ impl Hippocrates {
 
         loop {
             if report.is_clean() {
-                if obs.is_enabled() && !trace.is_empty() {
-                    // Telemetry-only audit: exercise the portable-log
-                    // roundtrip once so the trace-ingest stage reports its
-                    // cost for this module. Never runs with obs disabled.
-                    let _ = pmtrace::log::from_log_obs(&pmtrace::log::to_log(&trace), &obs);
-                }
                 drain_injected(&injector, &mut diagnostics);
                 let optimized = self.optimize_after_clean(m, entry, &mut diagnostics);
                 return Ok(RepairOutcome {

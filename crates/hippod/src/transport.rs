@@ -109,7 +109,7 @@ impl Listener {
     pub fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Conn::tcp(s)),
         }
     }
 
@@ -145,9 +145,18 @@ impl Conn {
                 .map(Conn::Unix)
                 .map_err(|e| format!("{}: connect: {e} (is the daemon serving?)", path.display())),
             Endpoint::Tcp(addr) => TcpStream::connect(addr)
-                .map(Conn::Tcp)
+                .and_then(Conn::tcp)
                 .map_err(|e| format!("{addr}: connect: {e} (is the daemon serving?)")),
         }
+    }
+
+    /// Wraps a TCP stream with Nagle's algorithm off. Requests and replies
+    /// are small framed writes, each awaited by the peer: with Nagle on, a
+    /// frame written while the previous one is unacknowledged waits for
+    /// the peer's delayed ACK (tens of milliseconds) before it is sent.
+    fn tcp(s: TcpStream) -> std::io::Result<Conn> {
+        s.set_nodelay(true)?;
+        Ok(Conn::Tcp(s))
     }
 
     /// # Errors

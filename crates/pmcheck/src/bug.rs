@@ -1,8 +1,9 @@
 //! Bug reports.
 
-use pmtrace::{Frame, IrRef, TraceLoc};
+use pmtrace::{IrRef, Stack, TraceLoc};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The durability-bug taxonomy of paper §2.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -100,8 +101,8 @@ pub struct Bug {
     pub store_at: Option<IrRef>,
     /// Source location of the store.
     pub store_loc: Option<TraceLoc>,
-    /// Call stack at the store, innermost first.
-    pub stack: Vec<Frame>,
+    /// Call stack at the store, innermost first (shared with the trace).
+    pub stack: Stack,
     /// Trace sequence number of the store event.
     pub store_seq: u64,
     /// The checkpoint at which the bug was detected.
@@ -141,7 +142,7 @@ impl Bug {
 /// A bug identity refined by its call path: the stack's `(function,
 /// call_inst)` spine plus the store-site [`Bug::dedup_key`].
 pub type PathKey = (
-    Vec<(String, Option<u32>)>,
+    Vec<(Arc<str>, Option<u32>)>,
     (Option<IrRef>, BugKind, Checkpoint),
 );
 
@@ -233,21 +234,35 @@ impl CheckReport {
     /// engine's commit criterion compares these maps: a new site (or a site
     /// moving up the ladder) is harm, a falling rank sum is progress.
     pub fn site_severities(&self) -> std::collections::HashMap<String, u32> {
-        let mut sites = std::collections::HashMap::new();
+        use std::collections::HashMap;
+        // Reports carry thousands of bugs at a dozen sites: fold the worst
+        // rank per borrowed site first, then render each site once. A
+        // location renders as `file:line`, so that is all its key holds.
+        #[derive(PartialEq, Eq, Hash)]
+        enum Site<'a> {
+            Loc(&'a str, u32),
+            At(&'a str, u32),
+            Unknown,
+        }
+        let mut worst: HashMap<Site<'_>, u32> = HashMap::new();
         for b in &self.bugs {
-            let site = b.store_loc.as_ref().map_or_else(
-                || {
-                    b.store_at
-                        .as_ref()
-                        .map_or_else(|| "?".to_string(), |r| format!("{}@{}", r.function, r.inst))
-                },
-                |loc| format!("{loc}"),
-            );
-            let rank = b.kind.repair_rank();
-            let entry = sites.entry(site).or_insert(0);
-            if rank > *entry {
-                *entry = rank;
-            }
+            let site = match (&b.store_loc, &b.store_at) {
+                (Some(loc), _) => Site::Loc(&loc.file, loc.line),
+                (None, Some(r)) => Site::At(&r.function, r.inst),
+                (None, None) => Site::Unknown,
+            };
+            let entry = worst.entry(site).or_insert(0);
+            *entry = (*entry).max(b.kind.repair_rank());
+        }
+        let mut sites = HashMap::with_capacity(worst.len());
+        for (site, rank) in worst {
+            let key = match site {
+                Site::Loc(file, line) => format!("{file}:{line}"),
+                Site::At(function, inst) => format!("{function}@{inst}"),
+                Site::Unknown => "?".to_string(),
+            };
+            let entry = sites.entry(key).or_insert(0);
+            *entry = (*entry).max(rank);
         }
         sites
     }
@@ -332,7 +347,7 @@ mod tests {
                 inst,
             }),
             store_loc: None,
-            stack: vec![],
+            stack: vec![].into(),
             store_seq: 1,
             checkpoint: cp,
             unflushed_lines: vec![],
@@ -386,7 +401,8 @@ mod tests {
                     call_inst: Some(call_inst),
                     loc: None,
                 },
-            ];
+            ]
+            .into();
             b
         };
         let report = CheckReport {
@@ -445,6 +461,55 @@ mod tests {
             ..Default::default()
         };
         assert!(bare.site_severities().contains_key("g@4"));
+    }
+
+    #[test]
+    fn site_severities_match_rendering_each_bug() {
+        // Columns differ but render alike; a location wins over the IR
+        // site; a bug with neither is `?`.
+        let mut bugs = vec![];
+        for (i, kind) in [
+            BugKind::MissingFence,
+            BugKind::MissingFlushFence,
+            BugKind::MissingFlush,
+        ]
+        .into_iter()
+        .cycle()
+        .take(12)
+        .enumerate()
+        {
+            let mut b = bug(
+                kind,
+                ["f", "g"][i % 2],
+                (i % 3) as u32,
+                Checkpoint::ProgramEnd,
+            );
+            b.store_loc = (i % 4 != 0).then(|| TraceLoc {
+                file: ["a.pmc", "b.pmc"][i % 2].into(),
+                line: (i % 3) as u32,
+                col: i as u32,
+            });
+            if i == 8 {
+                b.store_at = None;
+            }
+            bugs.push(b);
+        }
+        let report = CheckReport {
+            bugs,
+            ..Default::default()
+        };
+        let mut want = std::collections::HashMap::new();
+        for b in &report.bugs {
+            let site = match (&b.store_loc, &b.store_at) {
+                (Some(loc), _) => loc.to_string(),
+                (None, Some(r)) => format!("{}@{}", r.function, r.inst),
+                (None, None) => "?".to_string(),
+            };
+            let e = want.entry(site).or_insert(0);
+            *e = b.kind.repair_rank().max(*e);
+        }
+        assert_eq!(report.site_severities(), want);
+        assert!(want.contains_key("?") && want.contains_key("f@0"));
     }
 
     #[test]

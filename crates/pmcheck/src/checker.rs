@@ -78,10 +78,10 @@ pub fn check_trace(trace: &Trace) -> CheckReport {
 ///     kind: EventKind::Store { addr: 0x3000_0000_0000, len: 8 },
 ///     at: None,
 ///     loc: None,
-///     stack: vec![],
+///     stack: vec![].into(),
 /// };
 /// let end = Event {
-///     seq: 1, kind: EventKind::ProgramEnd, at: None, loc: None, stack: vec![],
+///     seq: 1, kind: EventKind::ProgramEnd, at: None, loc: None, stack: vec![].into(),
 /// };
 /// let mut checker = OnlineChecker::new();
 /// checker.feed(&store);
@@ -269,7 +269,7 @@ mod tests {
             kind,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: vec![].into(),
         }
     }
 
@@ -485,7 +485,7 @@ mod online_tests {
             kind,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: vec![].into(),
         }
     }
 

@@ -65,7 +65,7 @@ fn event(i: u64, kind: EventKind) -> Event {
         seq: 3 * i + 1,
         kind,
         at: Some(IrRef {
-            function: format!("f{}", i % 5),
+            function: format!("f{}", i % 5).into(),
             inst: i as u32,
         }),
         loc: (i % 4 != 3).then(|| TraceLoc {
@@ -75,7 +75,7 @@ fn event(i: u64, kind: EventKind) -> Event {
         }),
         stack: (0..=depth)
             .map(|d| Frame {
-                function: format!("f{}", (i + d) % 5),
+                function: format!("f{}", (i + d) % 5).into(),
                 call_inst: (d > 0).then_some((i + d) as u32),
                 loc: None,
             })

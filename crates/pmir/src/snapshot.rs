@@ -24,6 +24,7 @@ use crate::module::Module;
 use crate::parse::parse_module;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -53,7 +54,10 @@ pub fn digest_hex(m: &Module) -> String {
 #[derive(Debug, Clone)]
 pub struct ModuleSnapshot {
     module: Module,
-    text: String,
+    /// The captured module's printed text, printed on first use: most
+    /// snapshots are only ever restored, and printing a large module costs
+    /// far more than cloning it.
+    text: OnceLock<String>,
 }
 
 impl ModuleSnapshot {
@@ -61,18 +65,18 @@ impl ModuleSnapshot {
     pub fn capture(m: &Module) -> ModuleSnapshot {
         ModuleSnapshot {
             module: m.clone(),
-            text: print_module(m),
+            text: OnceLock::new(),
         }
     }
 
     /// The canonical printed text at capture time.
     pub fn text(&self) -> &str {
-        &self.text
+        self.text.get_or_init(|| print_module(&self.module))
     }
 
     /// Digest of the captured state.
     pub fn digest(&self) -> u64 {
-        fnv1a(self.text.as_bytes())
+        fnv1a(self.text().as_bytes())
     }
 
     /// Digest of the captured state in hex form.
@@ -88,7 +92,7 @@ impl ModuleSnapshot {
 
     /// Whether `m` is still byte-identical to the captured state.
     pub fn matches(&self, m: &Module) -> bool {
-        print_module(m) == self.text
+        print_module(m) == self.text()
     }
 }
 
@@ -313,6 +317,23 @@ mod tests {
         snap.restore(&mut m);
         assert_eq!(print_module(&m), before);
         assert!(snap.matches(&m));
+    }
+
+    #[test]
+    fn snapshot_text_is_the_capture_time_state_when_read_later() {
+        let (m, store) = sample();
+        let before = print_module(&m);
+        let snap = ModuleSnapshot::capture(&m);
+        let after = fixed(m, store);
+        // Nothing was printed at capture; the first read prints the copy.
+        assert_eq!(snap.text(), before);
+        assert_eq!(snap.digest(), fnv1a(before.as_bytes()));
+        let patch = ModulePatch::between(&snap, &after);
+        assert_eq!(
+            patch.base_digest,
+            format!("{:016x}", fnv1a(before.as_bytes()))
+        );
+        assert_eq!(patch.after_text, print_module(&after));
     }
 
     #[test]

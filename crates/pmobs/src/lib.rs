@@ -18,7 +18,7 @@
 //!
 //! | prefix     | stage |
 //! |------------|-------|
-//! | `trace.`   | `pmtrace` ingest (events parsed, bytes, parse errors) |
+//! | `trace.`   | `pmtrace` (events per detect pass; log ingest: events, bytes, parse errors) |
 //! | `static.`  | `pmstatic` (fixpoint iterations, summaries) |
 //! | `vm.`      | `pmvm`/`pmem-sim` (instructions, flushes, fences, fuel) |
 //! | `explore.` | `pmexplore` (frontiers, candidates, dedup, workers) |

@@ -8,7 +8,7 @@ use pmalias::{AliasAnalysis, ObjKind};
 use pmcheck::{Bug, BugKind, CheckReport, Checkpoint, Provenance};
 use pmir::cfg::{Cfg, Dominators};
 use pmir::{BlockId, FuncId, InstId, Module, Op, Operand};
-use pmtrace::{IrRef, TraceLoc};
+use pmtrace::{IrRef, Stack, TraceLoc};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// How strongly a flush effect covers a tracked store.
@@ -776,15 +776,15 @@ impl<'m> StaticChecker<'m> {
                 addr: 0,
                 len: fact.len.unwrap_or(0),
                 store_at: Some(IrRef {
-                    function: ofunc.name().to_string(),
+                    function: ofunc.name().into(),
                     inst: oi.0,
                 }),
                 store_loc: ofunc.inst(oi).loc.map(|l| TraceLoc {
-                    file: self.m.file_name(l.file).to_string(),
+                    file: self.m.file_name(l.file).into(),
                     line: l.line,
                     col: l.col,
                 }),
-                stack: vec![],
+                stack: Stack::default(),
                 store_seq: 0,
                 checkpoint,
                 unflushed_lines: vec![],
@@ -846,11 +846,11 @@ impl<'m> StaticChecker<'m> {
             sink.redundant.push(pmcheck::bug::RedundantFlush {
                 addr: 0,
                 at: Some(IrRef {
-                    function: func.name().to_string(),
+                    function: func.name().into(),
                     inst: i.0,
                 }),
                 loc: func.inst(i).loc.map(|l| TraceLoc {
-                    file: self.m.file_name(l.file).to_string(),
+                    file: self.m.file_name(l.file).into(),
                     line: l.line,
                     col: l.col,
                 }),

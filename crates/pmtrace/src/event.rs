@@ -1,6 +1,7 @@
 //! Trace events.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A flush instruction kind as recorded in traces (tool-neutral mirror of
 /// `pmir::FlushKind`).
@@ -31,11 +32,12 @@ pub enum FenceKind {
 }
 
 /// A resolved source position (file names are resolved strings so the trace
-/// stands alone, independent of any module's file table).
+/// stands alone, independent of any module's file table). The name is
+/// shared: every location in one file points at one allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TraceLoc {
     /// Source file name.
-    pub file: String,
+    pub file: Arc<str>,
     /// 1-based line.
     pub line: u32,
     /// 1-based column, 0 when unknown.
@@ -53,8 +55,8 @@ impl std::fmt::Display for TraceLoc {
 /// ids are append-only in `pmir`, so references stay valid across repair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct IrRef {
-    /// Containing function name.
-    pub function: String,
+    /// Containing function name (shared with the stack frames).
+    pub function: Arc<str>,
     /// `pmir::InstId` index within the function.
     pub inst: u32,
 }
@@ -64,7 +66,7 @@ pub struct IrRef {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Frame {
     /// The frame's function name.
-    pub function: String,
+    pub function: Arc<str>,
     /// For non-innermost frames: the call instruction (in *this* frame's
     /// function) that entered the next-inner frame. `None` for the innermost
     /// frame.
@@ -72,6 +74,11 @@ pub struct Frame {
     /// Source location of that call, if known.
     pub loc: Option<TraceLoc>,
 }
+
+/// A call stack, innermost frame first. Immutable and shared: the VM hands
+/// every event on one call path the same allocation, and bugs and findings
+/// built from an event clone the pointer, not the frames.
+pub type Stack = Arc<[Frame]>;
 
 /// What happened.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,7 +130,7 @@ pub struct Event {
     /// Source location of that instruction, when known.
     pub loc: Option<TraceLoc>,
     /// Call stack, innermost first.
-    pub stack: Vec<Frame>,
+    pub stack: Stack,
 }
 
 /// An ordered list of events — the bug-finder's execution log.
@@ -261,7 +268,7 @@ mod tests {
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         };
         let mut t: Trace = std::iter::once(e.clone()).collect();
         t.extend(std::iter::once(e));
@@ -293,14 +300,14 @@ mod tests {
             kind: EventKind::Store { addr: 64, len: 8 },
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         };
         let end = Event {
             seq: 0,
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         };
         let mut t = Trace::new();
         for (i, mut e) in [store.clone(), store, end.clone(), end]
@@ -326,14 +333,14 @@ mod tests {
             kind: EventKind::Store { addr: 64, len: 8 },
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         });
         t.push(Event {
             seq: 1,
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         });
         assert!(t.validate().is_empty());
     }

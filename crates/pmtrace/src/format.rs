@@ -48,7 +48,7 @@ fn render_event(e: &Event) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FenceKind, FlushKind};
+    use crate::event::{FenceKind, FlushKind, Stack};
 
     #[test]
     fn renders_each_kind() {
@@ -57,7 +57,7 @@ mod tests {
             kind,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         };
         let t: Trace = [
             mk(EventKind::Store { addr: 0x30, len: 8 }),

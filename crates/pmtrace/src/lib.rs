@@ -21,7 +21,7 @@ pub mod log;
 
 pub use data::{DataLog, DataRecord};
 pub use error::{TraceError, TraceWarning};
-pub use event::{Event, EventKind, FenceKind, FlushKind, Frame, IrRef, Trace, TraceLoc};
+pub use event::{Event, EventKind, FenceKind, FlushKind, Frame, IrRef, Stack, Trace, TraceLoc};
 pub use log::LogError;
 
 #[cfg(test)]
@@ -50,7 +50,8 @@ mod tests {
                 function: "main".into(),
                 call_inst: None,
                 loc: None,
-            }],
+            }]
+            .into(),
         });
         t.push(Event {
             seq: 1,
@@ -82,14 +83,15 @@ mod tests {
                         col: 3,
                     }),
                 },
-            ],
+            ]
+            .into(),
         });
         t.push(Event {
             seq: 2,
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: vec![].into(),
         });
         t
     }

@@ -20,7 +20,7 @@
 //! to the other). Stack frames after the first carry
 //! `function@call_inst(loc)`.
 
-use crate::event::{Event, EventKind, FenceKind, FlushKind, Frame, IrRef, Trace, TraceLoc};
+use crate::event::{Event, EventKind, FenceKind, FlushKind, Frame, IrRef, Stack, Trace, TraceLoc};
 use std::fmt::Write as _;
 
 /// A parse failure with its 1-based line number and the byte offset of that
@@ -70,22 +70,15 @@ pub fn to_log(trace: &Trace) -> String {
         if let Some(loc) = &e.loc {
             let _ = write!(line, " loc={}:{}:{}", loc.file, loc.line, loc.col);
         }
-        if !e.stack.is_empty() {
-            let frames: Vec<String> = e
-                .stack
-                .iter()
-                .map(|f| {
-                    let mut s = f.function.clone();
-                    if let Some(ci) = f.call_inst {
-                        let _ = write!(s, "@{ci}");
-                    }
-                    if let Some(loc) = &f.loc {
-                        let _ = write!(s, "({}:{}:{})", loc.file, loc.line, loc.col);
-                    }
-                    s
-                })
-                .collect();
-            let _ = write!(line, " stack={}", frames.join("<-"));
+        for (i, f) in e.stack.iter().enumerate() {
+            line.push_str(if i == 0 { " stack=" } else { "<-" });
+            line.push_str(&f.function);
+            if let Some(ci) = f.call_inst {
+                let _ = write!(line, "@{ci}");
+            }
+            if let Some(loc) = &f.loc {
+                let _ = write!(line, "({}:{}:{})", loc.file, loc.line, loc.col);
+            }
         }
         let _ = writeln!(out, "{line}");
     }
@@ -188,7 +181,7 @@ fn from_log_inner(text: &str) -> Result<Trace, LogError> {
         };
         let stack = match get("stack") {
             Some(v) => parse_stack(v).ok_or_else(|| err(format!("bad stack `{v}`")))?,
-            None => vec![],
+            None => Stack::default(),
         };
 
         trace.push(Event {
@@ -238,7 +231,7 @@ fn parse_fence(s: &str) -> Option<FenceKind> {
 fn parse_at(s: &str) -> Option<IrRef> {
     let (f, i) = s.rsplit_once('#')?;
     Some(IrRef {
-        function: f.to_string(),
+        function: f.into(),
         inst: i.parse().ok()?,
     })
 }
@@ -247,11 +240,11 @@ fn parse_loc(s: &str) -> Option<TraceLoc> {
     let mut it = s.rsplitn(3, ':');
     let col: u32 = it.next()?.parse().ok()?;
     let line: u32 = it.next()?.parse().ok()?;
-    let file = it.next()?.to_string();
+    let file = it.next()?.into();
     Some(TraceLoc { file, line, col })
 }
 
-fn parse_stack(s: &str) -> Option<Vec<Frame>> {
+fn parse_stack(s: &str) -> Option<Stack> {
     let mut frames = vec![];
     for part in s.split("<-") {
         // function[@call_inst][(loc)]
@@ -263,8 +256,8 @@ fn parse_stack(s: &str) -> Option<Vec<Frame>> {
             None => (part, None),
         };
         let (function, call_inst) = match head.split_once('@') {
-            Some((f, ci)) => (f.to_string(), Some(ci.parse().ok()?)),
-            None => (head.to_string(), None),
+            Some((f, ci)) => (f.into(), Some(ci.parse().ok()?)),
+            None => (head.into(), None),
         };
         frames.push(Frame {
             function,
@@ -272,7 +265,7 @@ fn parse_stack(s: &str) -> Option<Vec<Frame>> {
             loc,
         });
     }
-    Some(frames)
+    Some(frames.into())
 }
 
 #[cfg(test)]
@@ -301,7 +294,8 @@ mod tests {
                 function: "main".into(),
                 call_inst: None,
                 loc: None,
-            }],
+            }]
+            .into(),
         });
         t.push(Event {
             seq: 1,
@@ -329,7 +323,8 @@ mod tests {
                         col: 5,
                     }),
                 },
-            ],
+            ]
+            .into(),
         });
         t.push(Event {
             seq: 2,
@@ -339,7 +334,7 @@ mod tests {
             },
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         });
         t.push(Event {
             seq: 3,
@@ -348,14 +343,14 @@ mod tests {
             },
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         });
         t.push(Event {
             seq: 4,
             kind: EventKind::ProgramEnd,
             at: None,
             loc: None,
-            stack: vec![],
+            stack: Stack::default(),
         });
         t
     }

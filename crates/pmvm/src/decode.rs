@@ -25,6 +25,7 @@
 //! byte-identical to the interpreter.
 
 use pmir::{BinOp, CmpPred, FuncId, Module, Op, Operand, SrcLoc};
+use std::sync::Arc;
 
 /// Sentinel for "this op produces no result value".
 pub const NO_DST: u32 = u32::MAX;
@@ -160,8 +161,8 @@ pub struct OpMeta {
 /// One decoded function.
 #[derive(Debug, Clone)]
 pub struct DecodedFunc {
-    /// Function name (cold: cloned into trace events).
-    pub name: String,
+    /// Function name (cold: shared by every trace event in the function).
+    pub name: Arc<str>,
     /// Total value slots a frame needs.
     pub n_values: u32,
     /// Leading slots that are parameters.
@@ -230,7 +231,7 @@ fn decode_function(f: &pmir::Function) -> DecodedFunc {
     debug_assert_eq!(ops.len(), total);
 
     DecodedFunc {
-        name: f.name().to_string(),
+        name: f.name().into(),
         n_values: f.value_count() as u32,
         n_params: f.params().len() as u32,
         entry_pc: starts[f.entry().0 as usize],
@@ -365,7 +366,7 @@ mod tests {
 
         let d = DecodedModule::decode(&m);
         let df = &d.funcs[0];
-        assert_eq!(df.name, "main");
+        assert_eq!(&*df.name, "main");
         assert_eq!(df.entry_pc, 0);
         assert_eq!(df.ops.len(), 4, "cmp, cond_br, br, ret");
         assert_eq!(df.meta.len(), df.ops.len());

@@ -18,9 +18,10 @@
 use crate::decode::{DecOp, DecodedFunc, DecodedModule, OpMeta, Src, NO_DST};
 use crate::options::VmOptions;
 use crate::result::{Ended, RunResult, VmError};
+use crate::stacks::Stacks;
 use pmem_sim::{layout, Machine};
 use pmir::{FuncId, Module};
-use pmtrace::{DataLog, Event, EventKind, IrRef, Trace, TraceLoc};
+use pmtrace::{DataLog, Event, EventKind, IrRef, Stack, Trace};
 
 /// Compile-time tracing switch for the fast tier's run loop.
 pub(crate) trait EventSink {
@@ -120,6 +121,10 @@ fn go<S: EventSink>(
         globals: Vec::new(),
         output: vec![],
         sink,
+        stacks: S::ENABLED.then(|| {
+            let names = decoded.funcs.iter().map(|f| f.name.clone()).collect();
+            Stacks::new(names, module)
+        }),
         pm_data: opts.capture_pm_data.then(|| {
             let mut d = DataLog::new();
             d.records.reserve(256);
@@ -179,6 +184,8 @@ struct FastExec<'m, 'o, S: EventSink> {
     globals: Vec<u64>,
     output: Vec<i64>,
     sink: S,
+    /// Names and stacks for trace events; present exactly when tracing.
+    stacks: Option<Stacks>,
     pm_data: Option<DataLog>,
     steps: u64,
     seq: u64,
@@ -208,6 +215,11 @@ impl<S: EventSink> FastExec<'_, '_, S> {
             *slot = Some(0);
         }
         self.machine.push_frame();
+        if S::ENABLED {
+            if let Some(s) = self.stacks.as_mut() {
+                s.enter(self.frames.len());
+            }
+        }
         self.frames.push(FastFrame {
             func,
             pc: df.entry_pc,
@@ -218,7 +230,7 @@ impl<S: EventSink> FastExec<'_, '_, S> {
     fn cur_func_name(&self) -> String {
         self.frames
             .last()
-            .map(|f| self.decoded.funcs[f.func as usize].name.clone())
+            .map(|f| self.decoded.funcs[f.func as usize].name.to_string())
             .unwrap_or_default()
     }
 
@@ -239,49 +251,32 @@ impl<S: EventSink> FastExec<'_, '_, S> {
         }
     }
 
-    fn trace_loc(&self, loc: Option<pmir::SrcLoc>) -> Option<TraceLoc> {
-        loc.map(|l| TraceLoc {
-            file: self.module.file_name(l.file).to_string(),
-            line: l.line,
-            col: l.col,
-        })
-    }
-
-    /// Captures the current call stack, innermost first (cold: only called
-    /// from emission sites, which the null sink compiles away).
-    fn capture_stack(&self) -> Vec<pmtrace::Frame> {
-        let mut out = Vec::with_capacity(self.frames.len());
-        for (depth, fr) in self.frames.iter().enumerate().rev() {
-            let df = &self.decoded.funcs[fr.func as usize];
-            let innermost = depth == self.frames.len() - 1;
-            let (call_inst, loc) = if innermost {
-                (None, None)
-            } else {
-                // This frame is suspended at its call op.
-                let m = &df.meta[fr.pc as usize];
-                (Some(m.inst), self.trace_loc(m.loc))
-            };
-            out.push(pmtrace::Frame {
-                function: df.name.clone(),
-                call_inst,
-                loc,
-            });
-        }
-        out
-    }
-
     fn emit(&mut self, kind: EventKind, at: Option<&OpMeta>) -> Option<u64> {
         if !S::ENABLED {
             return None;
         }
-        let stack = self.capture_stack();
+        let stacks = self.stacks.as_mut()?;
+        let (decoded, frames) = (self.decoded, &self.frames);
+        let stack = match frames.len().checked_sub(1) {
+            // The program-end event comes after the entry frame returned.
+            None => Stack::default(),
+            // Every frame but the innermost is suspended at its call op.
+            Some(top) => stacks.current(top, |depth| {
+                let fr = &frames[depth];
+                let call = (depth != top).then(|| {
+                    let m = &decoded.funcs[fr.func as usize].meta[fr.pc as usize];
+                    (m.inst, m.loc)
+                });
+                (fr.func, call)
+            }),
+        };
         let (at, loc) = match at {
             Some(m) => (
                 Some(IrRef {
-                    function: self.cur_func_name(),
+                    function: stacks.name(frames.last().expect("running frame").func),
                     inst: m.inst,
                 }),
-                self.trace_loc(m.loc),
+                stacks.loc(m.loc),
             ),
             None => (None, None),
         };

@@ -4,9 +4,10 @@
 
 use crate::options::{ExecTier, VmOptions};
 use crate::result::{Ended, RunResult, VmError};
+use crate::stacks::Stacks;
 use pmem_sim::{layout, Machine};
 use pmir::{BlockId, FenceKind, FlushKind, FuncId, GlobalId, InstId, Module, Op, Operand};
-use pmtrace::{DataLog, Event, EventKind, IrRef, Trace, TraceLoc};
+use pmtrace::{DataLog, Event, EventKind, IrRef, Stack, Trace};
 use std::collections::HashMap;
 
 /// The virtual machine. Cheap to construct; one [`Vm::run`] call executes a
@@ -132,6 +133,10 @@ impl Vm {
             globals: HashMap::new(),
             output: vec![],
             trace: self.opts.trace.then(Trace::new),
+            stacks: self.opts.trace.then(|| {
+                let names = module.functions().map(|(_, f)| f.name().into()).collect();
+                Stacks::new(names, module)
+            }),
             pm_data: self.opts.capture_pm_data.then(DataLog::new),
             steps: 0,
             seq: 0,
@@ -183,6 +188,8 @@ struct Exec<'m, 'o> {
     globals: HashMap<GlobalId, u64>,
     output: Vec<i64>,
     trace: Option<Trace>,
+    /// Names and stacks for trace events; present exactly when tracing.
+    stacks: Option<Stacks>,
     pm_data: Option<DataLog>,
     steps: u64,
     seq: u64,
@@ -212,6 +219,9 @@ impl Exec<'_, '_> {
             *slot = Some(0);
         }
         self.machine.push_frame();
+        if let Some(s) = self.stacks.as_mut() {
+            s.enter(self.frames.len());
+        }
         self.frames.push(Frame {
             func,
             vals,
@@ -248,46 +258,30 @@ impl Exec<'_, '_> {
         }
     }
 
-    fn trace_loc(&self, loc: Option<pmir::SrcLoc>) -> Option<TraceLoc> {
-        loc.map(|l| TraceLoc {
-            file: self.module.file_name(l.file).to_string(),
-            line: l.line,
-            col: l.col,
-        })
-    }
-
-    /// Captures the current call stack, innermost first.
-    fn capture_stack(&self) -> Vec<pmtrace::Frame> {
-        let mut out = Vec::with_capacity(self.frames.len());
-        for (depth, fr) in self.frames.iter().enumerate().rev() {
-            let f = self.module.function(fr.func);
-            let innermost = depth == self.frames.len() - 1;
-            let (call_inst, loc) = if innermost {
-                (None, None)
-            } else {
-                // This frame is suspended at its call instruction.
-                let inst = f.block(fr.block).insts[fr.idx];
-                (Some(inst.0), self.trace_loc(f.inst(inst).loc))
-            };
-            out.push(pmtrace::Frame {
-                function: f.name().to_string(),
-                call_inst,
-                loc,
-            });
-        }
-        out
-    }
-
     fn emit(&mut self, kind: EventKind, at: Option<(InstId, Option<pmir::SrcLoc>)>) -> Option<u64> {
-        self.trace.as_ref()?;
-        let stack = self.capture_stack();
+        let stacks = self.stacks.as_mut()?;
+        let (module, frames) = (self.module, &self.frames);
+        let stack = match frames.len().checked_sub(1) {
+            // The program-end event comes after the entry frame returned.
+            None => Stack::default(),
+            // Every frame but the innermost is suspended at its call.
+            Some(top) => stacks.current(top, |depth| {
+                let fr = &frames[depth];
+                let call = (depth != top).then(|| {
+                    let f = module.function(fr.func);
+                    let inst = f.block(fr.block).insts[fr.idx];
+                    (inst.0, f.inst(inst).loc)
+                });
+                (fr.func.0, call)
+            }),
+        };
         let (at, loc) = match at {
             Some((inst, loc)) => (
                 Some(IrRef {
-                    function: self.cur_func_name(),
+                    function: stacks.name(frames.last().expect("running frame").func.0),
                     inst: inst.0,
                 }),
-                self.trace_loc(loc),
+                stacks.loc(loc),
             ),
             None => (None, None),
         };
@@ -788,11 +782,11 @@ mod tests {
             .iter()
             .find(|e| matches!(e.kind, EventKind::Store { .. }))
             .unwrap();
-        assert_eq!(store.at.as_ref().unwrap().function, "do_store");
+        assert_eq!(&*store.at.as_ref().unwrap().function, "do_store");
         assert_eq!(store.loc.as_ref().unwrap().line, 5);
         assert_eq!(store.stack.len(), 2);
-        assert_eq!(store.stack[0].function, "do_store");
-        assert_eq!(store.stack[1].function, "main");
+        assert_eq!(&*store.stack[0].function, "do_store");
+        assert_eq!(&*store.stack[1].function, "main");
         assert!(store.stack[1].call_inst.is_some());
         assert_eq!(store.stack[1].loc.as_ref().unwrap().line, 20);
         assert_eq!(trace.count(|k| matches!(k, EventKind::Fence { .. })), 1);

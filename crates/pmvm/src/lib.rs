@@ -37,6 +37,7 @@ mod fastvm;
 pub mod interp;
 pub mod options;
 pub mod result;
+mod stacks;
 
 pub use decode::DecodedModule;
 pub use interp::Vm;
